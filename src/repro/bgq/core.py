@@ -27,7 +27,7 @@ entering its poll loop immediately speeds up its neighbours.
 from __future__ import annotations
 
 import itertools
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 from ..sim import Environment, Event, Timeout
 from ..sim.engine import _PENDING
@@ -90,6 +90,10 @@ class Core:
         self._ids = itertools.count()
         self._members: Dict[int, CoreMember] = {}
         self._change: Event = env.event()
+        #: ``(per_unit, total)`` of the current membership, or None
+        #: until :meth:`rate_of` computes it; every membership or weight
+        #: change (:meth:`_notify_change`) drops it.
+        self._shares: Optional[Tuple[float, float]] = None
         self.instructions_retired = 0.0
 
     # -- membership -----------------------------------------------------
@@ -124,7 +128,8 @@ class Core:
             self._notify_change()
 
     def _notify_change(self) -> None:
-        old, self._change = self._change, self.env.event()
+        self._shares = None
+        old, self._change = self._change, Event(self.env)
         old.succeed()
 
     # -- rate model -------------------------------------------------------
@@ -134,16 +139,22 @@ class Core:
         if w <= 0:
             return 0.0
         p = self.params
-        members = self._members.values()
-        n_eff = sum(m.weight for m in members)
         cap = p.thread_issue_cap
-        per_unit = p.base_ipc / (1.0 + max(0.0, n_eff - 1.0) * p.smt_interference)
+        shares = self._shares
+        if shares is None:
+            # Re-summed over the same members in the same order as an
+            # uncached evaluation, so the cached floats are bit-identical.
+            members = self._members.values()
+            n_eff = sum(m.weight for m in members)
+            per_unit = p.base_ipc / (1.0 + max(0.0, n_eff - 1.0) * p.smt_interference)
+            # Aggregate issue-width demand, shared proportionally to weight.
+            total = 0.0
+            for m in members:
+                mw = m.weight
+                total += min(mw * per_unit, cap * min(1.0, mw))
+            self._shares = shares = (per_unit, total)
+        per_unit, total = shares
         rate = min(w * per_unit, cap * min(1.0, w))
-        # Aggregate issue-width cap, shared proportionally to weight.
-        total = 0.0
-        for m in members:
-            mw = m.weight
-            total += min(mw * per_unit, cap * min(1.0, mw))
         width = p.core_issue_width
         if total > width:
             rate *= width / total

@@ -27,6 +27,7 @@ from collections import deque
 from typing import Callable, Deque, Dict, List, Optional
 
 from ..sim import Environment, Event
+from ..sim.chain import chain
 from .network import MEMFIFO, RDMA_DATA, RGET_REQUEST, Packet, TorusNetwork
 from .params import BGQParams, DEFAULT_PARAMS
 from .wakeup import WakeupSource
@@ -66,15 +67,20 @@ class Descriptor:
         self.rec_fifo = rec_fifo
         self.message = message
         #: Fires when the MU engine has put the last packet on the wire.
-        self.injected: Event = env.event()
+        self.injected: Event = Event(env)
         #: Fires when the last packet has arrived at the destination
         #: (for rget: when the read data has fully arrived back here).
-        self.delivered: Event = env.event()
+        self.delivered: Event = Event(env)
         #: For rget: which remote injection FIFO streams the data back.
         self.data_ififo: int = 0
         #: Set by the fault injector when a fragment is lost or damaged;
         #: the receive-side reliability gate discards such messages.
         self.corrupted: bool = False
+
+
+def _succeed_if_pending(event: Event) -> None:
+    if not event.triggered:
+        event.succeed()
 
 
 class InjectionFifo:
@@ -147,12 +153,7 @@ class InjectionFifo:
                 self._chain_delivery(desc, last_arrival)
 
     def _chain_delivery(self, desc: Descriptor, last_arrival: Event) -> None:
-        def watch():
-            yield last_arrival
-            if not desc.delivered.triggered:
-                desc.delivered.succeed()
-
-        self.env.process(watch(), name="mu-delivery-watch")
+        chain(self.env, last_arrival, _succeed_if_pending, desc.delivered)
 
 
 class ReceptionFifo:

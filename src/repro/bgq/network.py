@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional, Tuple
 
 from ..sim import Environment, Event, Timeout
+from ..sim.chain import chain
 from .params import BGQParams, DEFAULT_PARAMS
 from .torus import Torus
 
@@ -133,19 +134,13 @@ class TorusNetwork:
         Must be called at the moment the MU puts the packet on the wire.
         """
         env = self.env
-        done = env.event()
+        done = Event(env)
         self.packets_sent += 1
         self.bytes_sent += packet.payload_bytes
         if packet.src == packet.dst:
             # MU loopback (sends between processes on one node, or to
             # self): no torus links, just the MU ingress/egress path.
-            def loop():
-                yield env.timeout(self.params.nic_latency)
-                if self.deliver is not None:
-                    self.deliver(packet)
-                done.succeed(packet)
-
-            env.process(loop(), name=f"pkt-loopback-{packet.src}")
+            chain(env, self.params.nic_latency, self.deliver, packet, done)
             return done
         return self._inject_routed(packet, done)
 
@@ -244,23 +239,9 @@ class TorusNetwork:
             arrival += action.extra_delay
             if action.dup_gap is not None:
                 dup_at = arrival + action.dup_gap
+                chain(env, dup_at - env.now, self.deliver, packet)
 
-                def fly_dup():
-                    yield env.timeout(dup_at - env.now)
-                    if self.deliver is not None:
-                        self.deliver(packet)
-
-                env.process(
-                    fly_dup(), name=f"pkt-dup-{packet.src}->{packet.dst}"
-                )
-
-        def fly():
-            yield env.timeout(arrival - env.now)
-            if self.deliver is not None:
-                self.deliver(packet)
-            done.succeed(packet)
-
-        env.process(fly(), name=f"pkt-{packet.src}->{packet.dst}")
+        chain(env, arrival - env.now, self.deliver, packet, done)
 
     def link_utilization(self) -> Dict[Tuple[int, int], float]:
         """Busy-until horizon per link (diagnostics)."""

@@ -93,6 +93,9 @@ class Torus:
         # computed (harvested by repro.trace.hpm at finish()).
         self.routes_computed = 0
         self.hops_routed = 0
+        #: Deterministic (``dim_order=None``) routes by ``(a, b)``: at
+        #: most nnodes**2 immutable entries, shared by every caller.
+        self._routes: Dict[Tuple[int, int], Tuple[Tuple[int, int], ...]] = {}
 
     # -- coordinates -----------------------------------------------------
     def coords(self, rank: int) -> Tuple[int, ...]:
@@ -152,20 +155,38 @@ class Torus:
                     out.append(r)
         return out
 
-    def route(self, a: int, b: int, dim_order: Optional[Sequence[int]] = None) -> List[Tuple[int, int]]:
-        """Minimal route as a list of (node, node) links.
+    def route(
+        self, a: int, b: int, dim_order: Optional[Sequence[int]] = None
+    ) -> Tuple[Tuple[int, int], ...]:
+        """Minimal route as a tuple of (node, node) links.
 
         Default is BG/Q's deterministic dimension-ordered routing
         (A then B then C then D then E), taking the shorter wrap
         direction; ``dim_order`` traverses the dimensions in a custom
         order (the mechanism behind minimal-adaptive routing).
+
+        Deterministic routes are memoized per ``(a, b)`` — repeated
+        calls return the same tuple; adaptive orders are computed
+        fresh.  Either way every call counts in ``routes_computed`` and
+        ``hops_routed``.
         """
         self.routes_computed += 1
+        if dim_order is None:
+            links = self._routes.get((a, b))
+            if links is None:
+                links = self._routes[(a, b)] = self._route(a, b, range(self.ndim))
+        else:
+            if sorted(dim_order) != list(range(self.ndim)):
+                raise ValueError(f"dim_order must permute 0..{self.ndim - 1}")
+            links = self._route(a, b, dim_order)
+        self.hops_routed += len(links)
+        return links
+
+    def _route(
+        self, a: int, b: int, order: Sequence[int]
+    ) -> Tuple[Tuple[int, int], ...]:
         if a == b:
-            return []
-        order = range(self.ndim) if dim_order is None else dim_order
-        if sorted(order) != list(range(self.ndim)):
-            raise ValueError(f"dim_order must permute 0..{self.ndim - 1}")
+            return ()
         links: List[Tuple[int, int]] = []
         cur = list(self.coords(a))
         target = self.coords(b)
@@ -178,8 +199,7 @@ class Torus:
                 nxt[dim] = (cur[dim] + step) % s
                 links.append((self.rank(cur), self.rank(nxt)))
                 cur = nxt
-        self.hops_routed += len(links)
-        return links
+        return tuple(links)
 
     def links(self) -> Iterator[Tuple[int, int]]:
         """All directed links in the torus."""

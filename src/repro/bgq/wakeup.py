@@ -26,6 +26,7 @@ from __future__ import annotations
 from typing import List, Optional, Tuple
 
 from ..sim import Environment, Event
+from ..sim.chain import chain
 from .params import BGQParams, DEFAULT_PARAMS
 
 __all__ = ["WakeupSource"]
@@ -63,7 +64,7 @@ class WakeupSource:
         event fires after just the delivery delay — the waiter never
         sleeps through a wakeup.
         """
-        ev = self.env.event()
+        ev = Event(self.env)
         if self._latched:
             self._latched = False
             self.latched_fires += 1
@@ -97,25 +98,4 @@ class WakeupSource:
     def _fire(self, ev: Event, latency: Optional[float]) -> None:
         self.wakeups += 1
         delay = self.params.wakeup_latency if latency is None else latency
-        env = self.env
-
-        # Delivery is a plain event/timeout chain rather than a spawned
-        # Process: a zero-delay trampoline event stands in for the old
-        # delivery process's init event, and its pop creates the delay
-        # timeout — so the timeout's schedule position (and with it the
-        # whole event order) is identical to the Process version, minus
-        # the Process/generator machinery.
-        def start(_trampoline: Event) -> None:
-            to = env.timeout(delay)
-            to.callbacks = [deliver]
-
-        def deliver(_timeout: Event) -> None:
-            ev.succeed()
-            # Stand-in for the delivery process's own completion event:
-            # keeps event counts and sequence numbering exactly equal to
-            # the Process-based implementation (cycle-for-cycle parity).
-            Event(env).succeed()
-
-        tramp = Event(env)
-        tramp.callbacks = [start]
-        tramp.succeed()
+        chain(self.env, delay, done=ev)

@@ -39,7 +39,6 @@ import time
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..obs.metrics import percentile
 from ..serve import DONE, EnvTask, JobService, JobSpec, ModelTask, ShardedTask
 from .isogate import IsoInstance, gate_workloads
 from .report import format_serve_metrics
@@ -201,13 +200,6 @@ def solo_checksums(
         spec = JobSpec(name=name, build=build)
         out[name] = run_task_solo(build(spec))
     return out
-
-
-# Back-compat alias: the nearest-rank formula moved to
-# repro.obs.metrics.percentile so the serve latency Histogram and this
-# gate literally share it (gate numbers and live metrics cannot
-# disagree; tests/serve/test_metrics.py asserts the equality).
-_percentile = percentile
 
 
 async def _drive_load(

@@ -20,6 +20,7 @@ from .shard import (
     ShardCoordinator,
     ShardEnvironment,
     ShardStallError,
+    ShardWorkerDied,
     run_sharded_subprocesses,
 )
 from .trace import (
@@ -43,6 +44,7 @@ __all__ = [
     "ShardCoordinator",
     "ShardEnvironment",
     "ShardStallError",
+    "ShardWorkerDied",
     "SimulationError",
     "Store",
     "run_sharded_subprocesses",

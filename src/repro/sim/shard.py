@@ -58,6 +58,7 @@ __all__ = [
     "ShardEnvironment",
     "ShardCoordinator",
     "ShardStallError",
+    "ShardWorkerDied",
     "ShmRing",
     "run_sharded_subprocesses",
 ]
@@ -72,6 +73,26 @@ class ShardStallError(SimulationError):
     before the stop event triggered" — see docs/SCALING.md
     ("Troubleshooting stalled shards") for how to read the diagnostic.
     """
+
+
+class ShardWorkerDied(RuntimeError):
+    """A shard's worker process exited while its peer waited on it.
+
+    Raised by :func:`run_sharded_subprocesses` within a fraction of a
+    second of the death (the ring waits poll the child's exit code),
+    instead of blocking for the ring timeout.  ``exitcode`` is the
+    child's ``multiprocessing`` exit code: negative for a signal
+    (``-9`` = SIGKILL), ``0`` for a child that returned without sending
+    the frame the parent was waiting for.
+    """
+
+    def __init__(self, shard: int, exitcode: Optional[int]) -> None:
+        super().__init__(
+            f"shard {shard} worker process died (exitcode {exitcode}) "
+            "while the coordinator waited on it"
+        )
+        self.shard = shard
+        self.exitcode = exitcode
 
 
 class _SeqKey:
@@ -268,8 +289,14 @@ class ShmRing:
     Layout: ``[head:8][tail:8][data:capacity]``.  The producer owns
     ``tail``, the consumer owns ``head``; frames are length-prefixed
     pickles.  Polling uses a short host sleep — shard barriers are
-    O(windows) per run, far off any hot path.
+    O(windows) per run, far off any hot path.  ``send``/``recv`` take
+    an optional ``check`` callable, called every :attr:`CHECK_EVERY`
+    seconds of waiting: it returns None while the peer lives, else the
+    exception that aborts the wait.
     """
+
+    #: Host seconds between ``check`` calls while a ring end waits.
+    CHECK_EVERY = 0.05
 
     def __init__(self, capacity: int = 1 << 20, *, name: Optional[str] = None) -> None:
         from multiprocessing import shared_memory
@@ -292,21 +319,40 @@ class ShmRing:
         _HDR.pack_into(self._buf, off, value)
 
     # -- byte I/O ---------------------------------------------------------
-    def _write_bytes(self, data: bytes, deadline: float) -> None:
+    def _wait(self, ready: Callable[[], bool], deadline: float, check, what: str) -> None:
+        """Poll until ``ready()``; ``check()`` runs every CHECK_EVERY s.
+
+        ``ready`` is re-tested after ``check`` reports a dead peer, and
+        the wait only fails if it is still false: the peer may have
+        written its last frame and exited since the previous test.
+        """
+        # Host-side IPC deadline (hung-peer guard), never simulated
+        # time — the frames themselves carry the simulated clocks.
+        next_check = time.monotonic() + self.CHECK_EVERY  # repro-lint: disable=D1
+        while not ready():
+            now = time.monotonic()  # repro-lint: disable=D1
+            if now > deadline:
+                raise TimeoutError(f"ShmRing {what} timed out")
+            if check is not None and now >= next_check:
+                err = check()
+                if err is not None:
+                    if ready():
+                        return
+                    raise err
+                next_check = now + self.CHECK_EVERY
+            time.sleep(0.0002)
+
+    def _write_bytes(self, data: bytes, deadline: float, check=None) -> None:
         cap = self.capacity
         need = len(data)
         if need >= cap:
             raise ValueError(f"frame of {need} B exceeds ring capacity {cap}")
-        while True:
-            head = self._get(0)
-            tail = self._get(8)
-            if cap - (tail - head) > need:  # keep one byte free
-                break
-            # Host-side IPC deadline (hung-peer guard), never simulated
-            # time — the frames themselves carry the simulated clocks.
-            if time.monotonic() > deadline:  # repro-lint: disable=D1
-                raise TimeoutError("ShmRing write timed out (ring full)")
-            time.sleep(0.0002)
+        # keep one byte free
+        self._wait(
+            lambda: cap - (self._get(8) - self._get(0)) > need,
+            deadline, check, "write (ring full)",
+        )
+        tail = self._get(8)
         pos = tail % cap
         first = min(need, cap - pos)
         self._buf[16 + pos : 16 + pos + first] = data[:first]
@@ -314,16 +360,13 @@ class ShmRing:
             self._buf[16 : 16 + need - first] = data[first:]
         self._set(8, tail + need)
 
-    def _read_bytes(self, need: int, deadline: float) -> bytes:
+    def _read_bytes(self, need: int, deadline: float, check=None) -> bytes:
         cap = self.capacity
-        while True:
-            head = self._get(0)
-            tail = self._get(8)
-            if tail - head >= need:
-                break
-            if time.monotonic() > deadline:  # repro-lint: disable=D1
-                raise TimeoutError("ShmRing read timed out (ring empty)")
-            time.sleep(0.0002)
+        self._wait(
+            lambda: self._get(8) - self._get(0) >= need,
+            deadline, check, "read (ring empty)",
+        )
+        head = self._get(0)
         pos = head % cap
         first = min(need, cap - pos)
         out = bytes(self._buf[16 + pos : 16 + pos + first])
@@ -333,16 +376,16 @@ class ShmRing:
         return out
 
     # -- frames -----------------------------------------------------------
-    def send(self, obj: Any, timeout: float = 120.0) -> None:
+    def send(self, obj: Any, timeout: float = 120.0, check=None) -> None:
         data = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
         deadline = time.monotonic() + timeout  # repro-lint: disable=D1
-        self._write_bytes(_LEN.pack(len(data)), deadline)
-        self._write_bytes(data, deadline)
+        self._write_bytes(_LEN.pack(len(data)), deadline, check)
+        self._write_bytes(data, deadline, check)
 
-    def recv(self, timeout: float = 120.0) -> Any:
+    def recv(self, timeout: float = 120.0, check=None) -> Any:
         deadline = time.monotonic() + timeout  # repro-lint: disable=D1
-        (n,) = _LEN.unpack(self._read_bytes(_LEN.size, deadline))
-        return pickle.loads(self._read_bytes(n, deadline))
+        (n,) = _LEN.unpack(self._read_bytes(_LEN.size, deadline, check))
+        return pickle.loads(self._read_bytes(n, deadline, check))
 
     def close(self) -> None:
         self._buf = None
@@ -408,7 +451,10 @@ def run_sharded_subprocesses(
     ``result`` — see :class:`repro.bgq.shardnet.ShardClient`.
     ``fabric`` runs in the parent and must provide
     ``process(wire_requests) -> (externals_by_shard, min_arrival)``.
-    Returns ``{shard_id: result}``.
+    Returns ``{shard_id: result}``.  A child that exits while the
+    parent waits on it raises :class:`ShardWorkerDied` within about
+    ``ShmRing.CHECK_EVERY`` seconds; the other children are then
+    terminated.
     """
     import multiprocessing
 
@@ -416,6 +462,15 @@ def run_sharded_subprocesses(
     to_child = [ShmRing(ring_bytes) for _ in range(nshards)]
     to_parent = [ShmRing(ring_bytes) for _ in range(nshards)]
     procs = []
+    clean = False
+
+    def checker(i: int):
+        def check() -> Optional[BaseException]:
+            code = procs[i].exitcode
+            return None if code is None else ShardWorkerDied(i, code)
+
+        return check
+
     try:
         for i in range(nshards):
             pr = ctx.Process(
@@ -425,9 +480,10 @@ def run_sharded_subprocesses(
             )
             pr.start()
             procs.append(pr)
+        checks = [checker(i) for i in range(nshards)]
 
         def read_sync(i: int) -> dict:
-            msg = to_parent[i].recv(timeout=600.0)
+            msg = to_parent[i].recv(timeout=600.0, check=checks[i])
             if msg["type"] == "error":
                 raise RuntimeError(
                     f"shard {i} failed:\n{msg['traceback']}"
@@ -456,7 +512,8 @@ def run_sharded_subprocesses(
                         "type": "window",
                         "end": end,
                         "externals": externals_by_shard.pop(i, []),
-                    }
+                    },
+                    check=checks[i],
                 )
             requests: list = []
             for i in range(nshards):
@@ -472,15 +529,20 @@ def run_sharded_subprocesses(
 
         results: Dict[int, Any] = {}
         for i in range(nshards):
-            to_child[i].send({"type": "finish"})
+            to_child[i].send({"type": "finish"}, check=checks[i])
         for i in range(nshards):
             msg = read_sync(i)
             if msg["type"] != "result":  # pragma: no cover - protocol error
                 raise RuntimeError(f"expected result frame, got {msg['type']!r}")
             results[i] = msg["value"]
+        clean = True
         return results
     finally:
         for pr in procs:
+            if not clean:
+                # Failing: the surviving children are blocked on frames
+                # that will never come — do not wait for them.
+                pr.terminate()
             pr.join(timeout=5.0)
             if pr.is_alive():  # pragma: no cover - hung child
                 pr.terminate()

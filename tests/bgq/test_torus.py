@@ -113,7 +113,7 @@ def test_route_is_minimal_and_connected():
             if a != b:
                 assert cur == b
             else:
-                assert route == []
+                assert route == ()
 
 
 def test_route_dimension_ordered():
