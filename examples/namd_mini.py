@@ -43,7 +43,7 @@ def main() -> None:
             nnodes=2,
             workers_per_process=4,
             comm_threads_per_process=1,
-            record_timeline=True,
+            trace=True,
         )
     )
     app = NamdCharm(charm, system2, n_steps=steps, pme_every=2, dt=dt)

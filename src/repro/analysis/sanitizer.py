@@ -17,11 +17,13 @@ analysis cannot settle:
   suite can only catch if the wrong interleaving happens to occur.
 
 Activation: set ``REPRO_SANITIZE=1`` before constructing the
-Environment (the flag is sampled once in ``Environment.__init__``, the
-same pattern as ``REPRO_ENGINE_SLOWPATH``).  Sanitized runs take the
-checked step path — same pops, same order, same simulated times; the
-trajectory is bit-identical, only host wall time grows (<2x, measured
-in CI by running the determinism fuzz suite under the flag).
+Environment (the flag is sampled once in ``Environment.__init__``,
+which binds the checked step variant, ``Environment._step_checked``,
+for the Environment's lifetime; it wins over an active profiling
+session).  The checked variant wraps the engine's one dispatch body —
+same pops, same order, same simulated times; the trajectory is
+bit-identical, only host wall time grows (<2x, measured in CI by
+running the determinism fuzz suite under the flag).
 
 This module deliberately imports nothing from ``repro.sim`` — the
 engine imports *us* (lazily, only on sanitized paths), never the other

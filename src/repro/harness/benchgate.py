@@ -515,7 +515,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "id": out.stem,
         "label": args.label,
         "created_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-        "engine_fastpath": os.environ.get("REPRO_ENGINE_SLOWPATH") != "1",
         "scale": args.scale,
         "total_wall_s": round(total_wall, 2),
         "calibration_wall_s": round(calibration, 4),

@@ -122,7 +122,7 @@ def run_traced_namd(
             nnodes=nnodes,
             workers_per_process=workers,
             comm_threads_per_process=comm_threads,
-            record_timeline=True,
+            trace=True,
         )
     )
     app = NamdCharm(

@@ -11,23 +11,25 @@ measured data rather than guesses.
 Design constraints, in order:
 
 1. **Cycle-neutral when off.** ``Environment.profiler`` is ``None``
-   unless a :class:`ProfileSession` is active at construction time; the
-   unprofiled ``step()`` pays exactly one slot load
-   (``self._profile``), already benchmarked inside the gated fast path.
-   ``make obs-gate`` proves checksums are bit-identical either way.
+   unless a :class:`ProfileSession` is active at construction time, and
+   the Environment binds its step variant once at construction: an
+   unprofiled Environment runs the plain dispatch body and never tests
+   for a profiler per event.  ``make obs-gate`` proves checksums are
+   bit-identical either way.
 2. **Deterministic.** Profiling only *reads* ``perf_counter_ns``; it
    never schedules from it, never perturbs pop order, and the profiled
-   step (:meth:`repro.sim.engine.Environment._step_profiled`) replays
-   the exact merge logic of ``step()``.  Profiled simulated times are
+   step (:meth:`repro.sim.engine.Environment._step_profiled`) reads the
+   key and pop site from the queue head, then calls the same dispatch
+   body as an unprofiled step.  Profiled simulated times are
    bit-identical to unprofiled ones.
 3. **Cheap when on.** Per-event keying costs several hundred ns in
    CPython — over budget on a ~µs dispatch — so the profiled step
-   stride-samples: non-sampled events pay one countdown decrement, and
-   each sampled event charges the whole interval since the previous
+   stride-samples: non-sampled events pay one countdown decrement and
+   one call into the dispatch body, and each sampled event charges the whole interval since the previous
    sample (wall time, exact event count, pop-site split) to the
    previous sample's ``(event class, first callback)`` key.  Gaps come
-   from a seeded LCG (:meth:`EngineProfiler.next_gap`), deterministic
-   per run and jittered so periodic workloads cannot alias with the
+   from a seeded LCG (:meth:`EngineProfiler.next_gap`, the only copy
+   of it), deterministic per run and jittered so periodic workloads cannot alias with the
    stride; ``stride=1`` is exact per-event mode.  All name resolution,
    normalization and aggregation happen at export time in
    :meth:`ProfileSession.profile`.  Budget: ≤5% overhead, enforced by

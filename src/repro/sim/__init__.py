@@ -23,12 +23,7 @@ from .shard import (
     ShardWorkerDied,
     run_sharded_subprocesses,
 )
-from .trace import (
-    Segment,
-    TimelineRecorder,
-    render_ascii_timeline,
-    utilization_profile,
-)
+from .trace import render_ascii_timeline, utilization_profile
 
 __all__ = [
     "AllOf",
@@ -39,7 +34,6 @@ __all__ = [
     "Interrupt",
     "Mutex",
     "Process",
-    "Segment",
     "Semaphore",
     "ShardCoordinator",
     "ShardEnvironment",
@@ -50,7 +44,6 @@ __all__ = [
     "run_sharded_subprocesses",
     "StreamRegistry",
     "Timeout",
-    "TimelineRecorder",
     "render_ascii_timeline",
     "utilization_profile",
 ]

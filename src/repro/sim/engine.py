@@ -16,46 +16,46 @@ Hot path
 --------
 ``Environment.step()`` / ``Process._resume()`` dominate the wall-clock
 of every figure reproduction (see EXPERIMENTS.md "Benchmark gate"), so
-the kernel keeps a *fast path* that is *cycle-for-cycle identical* to
-the straightforward implementation — same event order, same simulated
-times — but cheaper on the host:
+the kernel is shaped to be cheap on the host while keeping the classic
+single-heap event order — same event order, same simulated times:
 
 * zero-delay events (every ``succeed``/``fail``, process init/interrupt
   wakes, condition triggers) go to a FIFO deque instead of the heap.
   Because the clock cannot advance past a pending event, all deque
   entries share the current timestamp and carry their schedule sequence
-  number; :meth:`Environment.step` merges deque and heap by
+  number; :meth:`Environment._dispatch` merges deque and heap by
   ``(time, seq)``, reproducing exact heap order with O(1) scheduling
-  for the dominant zero-delay class;
+  for the dominant zero-delay class.  The determinism suite
+  (``tests/sim/test_determinism.py``) checks this against an all-heap
+  reference engine;
+* there is one pop-and-dispatch body, :meth:`Environment._dispatch`.
+  The step variant — plain, sanitized or profiled — is bound once at
+  construction into a slot that ``step()``, ``run()`` and
+  ``run_window()`` call, so the unsanitized, unprofiled loop pays no
+  per-event mode test;
 * ``Event.callbacks`` is lazily allocated (``None`` until the first
   waiter registers; reset to ``None`` once processed), so events nobody
   waits on never allocate a list;
 * each :class:`Process` reuses one bound ``_resume`` callback for every
   wait instead of materialising a new bound method per yield;
-* :meth:`Environment.step` inlines callback processing, and
-  :class:`Timeout` initialises its slots directly — the common
-  ``timeout -> resume`` cycle runs without intermediate method calls;
+* ``_dispatch`` inlines callback processing, and :class:`Timeout`
+  initialises its slots directly — the common ``timeout -> resume``
+  cycle runs without intermediate method calls;
 * every :class:`Event` subclass is ``__slots__``-complete (no instance
   dicts on the hot path).
 
-Setting ``REPRO_ENGINE_SLOWPATH=1`` in the environment before creating
-an :class:`Environment` routes *all* scheduling through the heap (the
-reference behaviour).  The determinism suite
-(``tests/sim/test_determinism.py``) asserts both paths produce
-bit-identical trajectories.
-
 Sanitizer
 ---------
-``REPRO_SANITIZE=1`` (sampled at :class:`Environment` construction,
-like the slow-path flag) routes stepping through a *checked* path that
-pops in exactly the same order but additionally detects runtime
-protocol violations the static pass (``repro.analysis``, rule docs in
-docs/ANALYSIS.md) cannot prove: reentrant ``step()``/``run()`` calls
-from inside event callbacks, callback registration on already-processed
-events (lost wakeups), and hash-ordered iterables handed to
-``any_of``/``all_of``.  The checks raise
-:class:`repro.analysis.sanitizer.SanitizerError`; the trajectory of a
-clean run is bit-identical to an unsanitized one.
+``REPRO_SANITIZE=1`` (sampled at :class:`Environment` construction)
+binds the *checked* step variant, a wrapper around ``_dispatch`` that
+additionally detects runtime protocol violations the static pass
+(``repro.analysis``, rule docs in docs/ANALYSIS.md) cannot prove:
+reentrant ``step()``/``run()`` calls from inside event callbacks,
+callback registration on already-processed events (lost wakeups), and
+hash-ordered iterables handed to ``any_of``/``all_of``.  The checks
+raise :class:`repro.analysis.sanitizer.SanitizerError`; the trajectory
+of a clean run is bit-identical to an unsanitized one.  The sanitizer
+wins over an active :class:`repro.obs.ProfileSession`.
 """
 
 from __future__ import annotations
@@ -165,10 +165,7 @@ class Event:
         self._state = _TRIGGERED
         env = self.env
         env._seq = seq = env._seq + 1
-        if env._fastpath:
-            env._imm.append((env._now, seq, self))
-        else:
-            heapq.heappush(env._queue, (env._now, seq, self))
+        env._imm.append((env._now, seq, self))
         return self
 
     def fail(self, exc: BaseException) -> "Event":
@@ -180,10 +177,7 @@ class Event:
         self._state = _TRIGGERED
         env = self.env
         env._seq = seq = env._seq + 1
-        if env._fastpath:
-            env._imm.append((env._now, seq, self))
-        else:
-            heapq.heappush(env._queue, (env._now, seq, self))
+        env._imm.append((env._now, seq, self))
         return self
 
     def trigger(self, event: "Event") -> None:
@@ -260,7 +254,7 @@ class Timeout(Event):
         self._defused = False
         self.delay = delay
         env._seq = seq = env._seq + 1
-        if delay == 0.0 and env._fastpath:
+        if delay == 0.0:
             env._imm.append((env._now, seq, self))
         else:
             heapq.heappush(env._queue, (env._now + delay, seq, self))
@@ -351,7 +345,7 @@ class Process(Event):
     Event that fires with the generator's return value when it finishes.
     """
 
-    __slots__ = ("gen", "name", "_target", "_interrupts", "_resume_cb")
+    __slots__ = ("gen", "name", "_target", "_resume_cb")
 
     def __init__(
         self,
@@ -365,7 +359,6 @@ class Process(Event):
         self.gen = gen
         self.name = name or getattr(gen, "__name__", "process")
         self._target: Optional[Event] = None
-        self._interrupts: list[Interrupt] = []
         #: One bound method reused for every wait (a fresh bound-method
         #: object per yield is pure allocator churn on the hot path).
         self._resume_cb = self._resume
@@ -381,7 +374,14 @@ class Process(Event):
         """Throw :class:`Interrupt` into the process at the current time."""
         if self._state != _PENDING:
             raise SimulationError(f"cannot interrupt finished {self.name}")
-        self._interrupts.append(Interrupt(cause))
+        wake = Event(self.env)
+        wake.callbacks = [self._deliver_interrupt]
+        wake.fail(Interrupt(cause))
+
+    def _deliver_interrupt(self, wake: Event) -> None:
+        # Detach from the wait held *now*, not the one held when
+        # interrupt() was called: the process may have re-yielded since
+        # (e.g. after an earlier same-time interrupt).
         target = self._target
         if target is not None and target.callbacks is not None:
             try:
@@ -389,9 +389,7 @@ class Process(Event):
             except ValueError:
                 pass
         self._target = None
-        wake = Event(self.env)
-        wake.callbacks = [self._resume_cb]
-        wake.succeed()
+        self._resume(wake)
 
     def _resume(self, event: Event) -> None:
         env = self.env
@@ -399,9 +397,7 @@ class Process(Event):
         gen = self.gen
         while True:
             try:
-                if self._interrupts:
-                    next_ev = gen.throw(self._interrupts.pop(0))
-                elif event._exc is not None:
+                if event._exc is not None:
                     event._defused = True
                     next_ev = gen.throw(event._exc)
                 else:
@@ -446,9 +442,9 @@ class Environment:
     Two pending-event stores cooperate (see the module docstring):
     ``_queue`` is the timestamp heap; ``_imm`` is the FIFO deque of
     zero-delay events, all stamped with the current time and a schedule
-    sequence number.  :meth:`step` pops whichever holds the globally
-    smallest ``(time, seq)``, so the merged order is exactly the
-    classic single-heap order.
+    sequence number.  :meth:`_dispatch` pops whichever holds the
+    globally smallest ``(time, seq)``, so the merged order is exactly
+    the classic single-heap order.
     """
 
     __slots__ = (
@@ -456,19 +452,14 @@ class Environment:
         "_queue",
         "_imm",
         "_seq",
-        "_fastpath",
         "_sanitize",
         "_stepping",
         "_active_process",
+        "_step",
+        "_pskip",
         "events_executed",
         "tracer",
         "profiler",
-        "_profile",
-        "_pacc",
-        "_ppend",
-        "_pskip",
-        "_prng",
-        "_pmod",
     )
 
     def __init__(self, initial_time: float = 0.0) -> None:
@@ -477,11 +468,8 @@ class Environment:
         #: Zero-delay events: (time, seq, event), FIFO == (time, seq) order.
         self._imm: deque[tuple[float, int, Event]] = deque()
         self._seq = 0
-        #: REPRO_ENGINE_SLOWPATH=1 forces all scheduling through the
-        #: heap (reference path, bit-identical results — see module doc).
-        self._fastpath = os.environ.get("REPRO_ENGINE_SLOWPATH") != "1"
-        #: REPRO_SANITIZE=1 routes step() through the checked path (see
-        #: module doc "Sanitizer"); trajectory-neutral, host-time only.
+        #: REPRO_SANITIZE=1 routes stepping through the checked variant
+        #: (see module doc "Sanitizer"); trajectory-neutral, host-time only.
         self._sanitize = os.environ.get("REPRO_SANITIZE") == "1"
         self._stepping = False
         self._active_process: Optional[Process] = None
@@ -499,33 +487,19 @@ class Environment:
         #: construction; profiling only *measures* — simulated times
         #: stay bit-identical (``make obs-gate`` proves it).
         factory = _PROFILER_FACTORY[0]
-        if factory is None:
-            self.profiler = None
-            self._profile = False
-            self._pacc = None
-            self._ppend = None
-            self._pskip = 0
-            self._prng = 0
-            self._pmod = 1
+        self.profiler = None if factory is None else factory(self)
+        #: Profiled variant: events until the next sample (1 → the very
+        #: first step samples and opens the first interval).
+        self._pskip = 1
+        #: The step variant, bound once (sanitize wins over profile):
+        #: step(), run() and run_window() all call this slot, so the
+        #: per-event loop never re-tests the mode.
+        if self._sanitize:
+            self._step = self._step_checked
+        elif self.profiler is not None:
+            self._step = self._step_profiled
         else:
-            prof = factory(self)
-            self.profiler = prof
-            self._profile = True
-            # Direct slot references into the profiler's accumulator
-            # and pending-charge cell: one load each on the profiled
-            # hot path instead of two attribute hops per event.
-            self._pacc = prof.acc
-            self._ppend = prof.pend
-            # Sampling state, inlined into slots so the profiled step
-            # never makes a Python call to draw the next gap: _pskip is
-            # the countdown to the next sample (1 → the very first step
-            # samples and opens the first interval), _prng/_pmod the
-            # LCG state and gap modulus (gaps are 1 + x % _pmod, i.e.
-            # uniform on [1, 2*stride-1], mean = stride; _pmod == 1 is
-            # exact per-event mode).  Mirrors EngineProfiler.next_gap.
-            self._pskip = 1
-            self._prng = prof._rng
-            self._pmod = (2 * prof.stride - 1) if prof.stride > 1 else 1
+            self._step = self._dispatch
 
     # -- clock ---------------------------------------------------------
     @property
@@ -552,14 +526,7 @@ class Environment:
     def any_of(self, events: Iterable[Event]) -> AnyOf:
         return AnyOf(self, events)
 
-    # -- scheduling -------------------------------------------------------
-    def _schedule(self, event: Event, delay: float) -> None:
-        self._seq = seq = self._seq + 1
-        if delay == 0.0 and self._fastpath:
-            self._imm.append((self._now, seq, event))
-        else:
-            heapq.heappush(self._queue, (self._now + delay, seq, event))
-
+    # -- stepping ---------------------------------------------------------
     def peek(self) -> float:
         """Time of the next scheduled event, or +inf if none.
 
@@ -575,10 +542,14 @@ class Environment:
 
     def step(self) -> None:
         """Process exactly one event (the globally next in (time, seq))."""
-        if self._sanitize:
-            return self._step_checked()
-        if self._profile:
-            return self._step_profiled()
+        self._step()
+
+    def _dispatch(self) -> Event:
+        """Pop the globally next event, run its callbacks, return it.
+
+        The one pop-and-dispatch body; the checked and profiled
+        variants wrap it.
+        """
         imm = self._imm
         q = self._queue
         if imm:
@@ -605,13 +576,12 @@ class Environment:
                 cb(event)
         if event._exc is not None and not event._defused:
             raise event._exc
+        return event
 
-    def _step_checked(self) -> None:
-        """Sanitized step: identical pop order, plus protocol checks.
+    def _step_checked(self) -> Event:
+        """Sanitized step: :meth:`_dispatch` plus protocol checks.
 
-        Duplicates the (small) merge logic of :meth:`step` rather than
-        branching inside it, so the unsanitized hot loop stays exactly
-        as benchmarked.  Detects reentrant stepping (a callback calling
+        Detects reentrant stepping (a callback calling
         ``step()``/``run()``) and callbacks re-registered onto the event
         being processed (a wakeup that would be lost silently).
         """
@@ -624,50 +594,29 @@ class Environment:
             )
         self._stepping = True
         try:
-            imm = self._imm
-            q = self._queue
-            if imm:
-                if q and q[0] < imm[0]:
-                    when, _, event = heapq.heappop(q)
-                else:
-                    when, _, event = imm.popleft()
-            elif q:
-                when, _, event = heapq.heappop(q)
-            else:
-                raise SimulationError("step() on empty event queue")
-            self._now = when
-            self.events_executed += 1
-            callbacks = event.callbacks
-            event.callbacks = None
-            event._state = _PROCESSED
-            if callbacks is not None:
-                for cb in callbacks:
-                    cb(event)
-            if event.callbacks is not None:
-                raise SanitizerError(
-                    f"callback list of {event!r} repopulated while it was "
-                    "being processed — that callback would never fire"
-                )
-            if event._exc is not None and not event._defused:
-                raise event._exc
+            event = self._dispatch()
         finally:
             self._stepping = False
+        if event.callbacks is not None:
+            raise SanitizerError(
+                f"callback list of {event!r} repopulated while it was "
+                "being processed — that callback would never fire"
+            )
+        return event
 
-    def _step_profiled(self) -> None:
-        """Profiled step: identical pop order, plus hotspot attribution.
+    def _step_profiled(self) -> Event:
+        """Profiled step: :meth:`_dispatch` plus hotspot attribution.
 
-        Like :meth:`_step_checked`, this duplicates the merge logic of
-        :meth:`step` so the unprofiled hot loop stays exactly as
-        benchmarked.  The ≤5% overhead budget (``make obs-gate``)
-        shapes everything here:
+        The ≤5% overhead budget (``make obs-gate``) shapes everything
+        here:
 
         * **Deterministic stride sampling.**  Per-event keying costs
           several hundred ns in CPython — an order of magnitude over
           budget on a ~µs dispatch — so only *sampled* events are
-          keyed and timed; the rest run the plain ``step()`` body plus
-          one countdown decrement.  Sample gaps come from
-          ``EngineProfiler.next_gap()`` (a seeded LCG over the event
-          index: deterministic per run, and jittered so periodic
+          keyed and timed; the rest pay one countdown decrement and
+          the call into :meth:`_dispatch`.
+          Sample gaps come from ``EngineProfiler.next_gap()`` (a
+          seeded LCG: deterministic per run, and jittered so periodic
           workloads cannot alias with the stride).  ``stride=1``
           degenerates to exact per-event attribution.
         * **Interval charging, one clock read per sample.**  The read
@@ -690,47 +639,25 @@ class Environment:
           site with :mod:`repro.trace` span ids (a span's id is its
           index in ``tracer.spans``) when a tracer is live.
 
-        Only host wall time is *read*: pop order, timestamps and
-        callback execution are byte-for-byte those of :meth:`step`,
-        which is why profiled runs checksum bit-identically to
-        unprofiled ones.
+        The key and pop site are read from the queue head *before*
+        :meth:`_dispatch` pops it, so pop order, timestamps and
+        callback execution are exactly those of an unprofiled run.
         """
         skip = self._pskip - 1
         if skip > 0:
-            # Non-sampled event: the plain step() body verbatim, plus
-            # one countdown write — the whole point of sampling is that
-            # this path costs a few nanoseconds, not a dict lookup.
             self._pskip = skip
-            imm = self._imm
-            q = self._queue
-            if imm:
-                if q and q[0] < imm[0]:
-                    when, _, event = heapq.heappop(q)
-                else:
-                    when, _, event = imm.popleft()
-            elif q:
-                when, _, event = heapq.heappop(q)
-            else:
-                raise SimulationError("step() on empty event queue")
-            self._now = when
-            self.events_executed += 1
-            callbacks = event.callbacks
-            event.callbacks = None
-            event._state = _PROCESSED
-            if callbacks is not None:
-                for cb in callbacks:
-                    cb(event)
-            if event._exc is not None and not event._defused:
-                raise event._exc
-            return
+            return self._dispatch()
+        prof = self.profiler
+        if prof is None:
+            return self._dispatch()
         # Sampled event: settle the interval pending since the last
         # sample, then key this event and open a new interval.
         t = perf_counter_ns()
         ev = self.events_executed
-        pend = self._ppend  # [key, t0_ns, site, span_first, span_last, ev0]
+        pend = prof.pend  # [key, t0_ns, site, span_first, span_last, ev0]
         key = pend[0]
         if key is not None:
-            acc = self._pacc
+            acc = prof.acc
             rec = acc.get(key)
             if rec is None:
                 acc[key] = rec = [0, 0, 0, 0, -1, -1]
@@ -742,28 +669,18 @@ class Environment:
                 if rec[4] < 0:
                     rec[4] = pend[3]
                 rec[5] = pend[4]
-        x = (self._prng * 1103515245 + 12345) & 0x7FFFFFFF
-        self._prng = x
-        self._pskip = 1 + x % self._pmod
+        self._pskip = prof.next_gap()
         imm = self._imm
         q = self._queue
-        if imm:
-            if q and q[0] < imm[0]:
-                when, _, event = heapq.heappop(q)
-                site = 3
-            else:
-                when, _, event = imm.popleft()
-                site = 2
+        if imm and not (q and q[0] < imm[0]):
+            event = imm[0][2]
+            site = 2
         elif q:
-            when, _, event = heapq.heappop(q)
+            event = q[0][2]
             site = 3
         else:
-            raise SimulationError("step() on empty event queue")
-        self._now = when
-        self.events_executed += 1
+            return self._dispatch()  # raises: empty event queue
         callbacks = event.callbacks
-        event.callbacks = None
-        event._state = _PROCESSED
         if callbacks:
             cb0 = callbacks[0]
             kind = cb0.__class__
@@ -774,26 +691,18 @@ class Environment:
         pend[0] = (event.__class__, cb0)
         pend[1] = t
         pend[2] = site
+        pend[3] = -1
         pend[5] = ev
         tracer = self.tracer
         if tracer is None:
-            pend[3] = -1
-            if callbacks is not None:
-                for cb in callbacks:
-                    cb(event)
-        else:
-            nspan = len(tracer.spans)
-            if callbacks is not None:
-                for cb in callbacks:
-                    cb(event)
-            closed = len(tracer.spans)
-            if closed > nspan:
-                pend[3] = nspan
-                pend[4] = closed - 1
-            else:
-                pend[3] = -1
-        if event._exc is not None and not event._defused:
-            raise event._exc
+            return self._dispatch()
+        nspan = len(tracer.spans)
+        self._dispatch()
+        closed = len(tracer.spans)
+        if closed > nspan:
+            pend[3] = nspan
+            pend[4] = closed - 1
+        return event
 
     def run(self, until: Optional[float | Event] = None) -> Any:
         """Run until the given time or event; returns the event's value.
@@ -819,18 +728,11 @@ class Environment:
                     f"run(until={stop_time}) is in the past (now={self._now})"
                 )
 
-        # Bind the variant once: skipping the per-event dispatch hop in
-        # step() is worth ~100ns/event, a real fraction of the profiled
-        # path's ≤5% budget.  step() itself still dispatches for direct
-        # callers; _sanitize wins when both are set (step()'s order).
-        if self._profile and not self._sanitize:
-            step = self._step_profiled
-        else:
-            step = self.step
-        imm = self._imm
-        q = self._queue
         if stop_event is None and stop_time == _INF:
             # Drain-the-queue loop (the common benchmark shape).
+            step = self._step
+            imm = self._imm
+            q = self._queue
             while imm or q:
                 step()
             return None
@@ -855,10 +757,7 @@ class Environment:
         of events is *not* an error here: under sharding, a drained
         shard simply waits at the window boundary for neighbour traffic.
         """
-        if self._profile and not self._sanitize:
-            step = self._step_profiled
-        else:
-            step = self.step
+        step = self._step
         imm = self._imm
         q = self._queue
         while imm or q:

@@ -1,13 +1,11 @@
-"""Timeline recording and utilization profiles (rebased on ``repro.trace``).
+"""Utilization profiles and ASCII timelines over a tracer's spans.
 
 The paper presents three trace-based figures: Fig. 3 (per-thread
 timelines of a PME step), Fig. 9 (time-profile of CPU utilization with
 and without communication threads) and Fig. 10 (timestep density in a
-fixed window with regular vs. many-to-many PME).  Historically this
-module owned the ad-hoc ``TimelineRecorder``; span collection now lives
-in the unified :class:`repro.trace.Tracer` (which adds named counters,
-nested spans and Chrome/Perfetto + manifest exporters), and this module
-keeps the backwards-compatible recorder alias plus the ASCII renderers
+fixed window with regular vs. many-to-many PME).  Span collection lives
+in :class:`repro.trace.Tracer` (named counters, nested spans and
+Chrome/Perfetto + manifest exporters); this module holds the renderers
 used by the miniature figure reproductions.
 
 Activity categories follow the paper's colour legend:
@@ -25,49 +23,10 @@ from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..trace.core import Span, Tracer
-from .engine import Environment
+from ..trace.core import Tracer
 from types import MappingProxyType
 
-__all__ = ["Segment", "TimelineRecorder", "utilization_profile", "render_ascii_timeline"]
-
-#: Legacy name: one contiguous activity interval on one simulated thread.
-Segment = Span
-
-
-class TimelineRecorder(Tracer):
-    """Backwards-compatible face of the unified tracer.
-
-    Threads bracket activities with :meth:`begin`/:meth:`end` (or the
-    inherited :meth:`~repro.trace.Tracer.span` context manager for
-    nesting), and unclosed segments are closed at the current simulation
-    time by :meth:`finish` — exactly the old recorder contract, now with
-    the counter and exporter machinery of :class:`repro.trace.Tracer`
-    underneath.
-    """
-
-    def __init__(self, env: Environment, enabled: bool = True) -> None:
-        super().__init__(env, enabled=enabled)
-
-    @property
-    def segments(self) -> list:
-        """Legacy alias for :attr:`~repro.trace.Tracer.spans`."""
-        return self.spans
-
-    def threads(self) -> list:
-        """Legacy alias for :meth:`~repro.trace.Tracer.tracks`."""
-        return self.tracks()
-
-    def utilization(
-        self, thread: Optional[int] = None, track: Optional[int] = None
-    ) -> Tuple[float, float]:
-        return super().utilization(track=track if track is not None else thread)
-
-    def time_in(
-        self, category: str, thread: Optional[int] = None, track: Optional[int] = None
-    ) -> float:
-        return super().time_in(category, track=track if track is not None else thread)
-
+__all__ = ["utilization_profile", "render_ascii_timeline"]
 
 def utilization_profile(
     recorder: Tracer,

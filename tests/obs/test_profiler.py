@@ -11,6 +11,9 @@ The two load-bearing claims (docs/OBSERVABILITY.md):
 
 import pytest
 
+from repro.analysis.sanitizer import SanitizerError, sanitized
+from repro.converse import RunConfig
+from repro.harness.pingpong import pingpong_run
 from repro.obs import EngineProfiler, Profile, ProfileSession, owner_name
 from repro.obs.profiler import _norm
 from repro.sim import Environment
@@ -211,3 +214,74 @@ def test_profile_merge_sums_counts():
     merged = Profile.merge("ab", [pa, pb])
     assert merged.total_count == pa.total_count + pb.total_count
     assert merged.envs == pa.envs + pb.envs
+
+
+#: Per-site (event type, owner, count, deque_pops, heap_pops) of the
+#: 2-node ping-pong (nbytes=256, trips=6) at each stride.  Sampling is
+#: deterministic, so a change to the profiled step or to next_gap()
+#: that moves any attribution shows up here.
+PINGPONG_SITES = {
+    1: [
+        ("AnyOf", "Process._resume:pe*", 12, 12, 0),
+        ("Event", "(no-callback)", 285, 285, 0),
+        ("Event", "AnyOf._check", 12, 12, 0),
+        ("Event", "Process._resume:mu*-ififo*", 14, 14, 0),
+        ("Event", "Process._resume:pe*", 201, 201, 0),
+        ("Event", "_Chain", 48, 48, 0),
+        ("Event", "_FirstWake", 199, 199, 0),
+        ("Timeout", "Process._resume:mu*-ififo*", 12, 0, 12),
+        ("Timeout", "Process._resume:pe*", 43, 0, 43),
+        ("Timeout", "TorusNetwork._flush_reservations", 12, 12, 0),
+        ("Timeout", "_Chain", 24, 0, 24),
+        ("Timeout", "_FirstWake", 199, 0, 199),
+    ],
+    8: [
+        ("AnyOf", "Process._resume:pe*", 22, 22, 0),
+        ("Event", "(no-callback)", 255, 255, 0),
+        ("Event", "AnyOf._check", 15, 15, 0),
+        ("Event", "Process._resume:mu*-ififo*", 29, 29, 0),
+        ("Event", "Process._resume:pe*", 189, 189, 0),
+        ("Event", "_Chain", 76, 76, 0),
+        ("Event", "_FirstWake", 249, 249, 0),
+        ("Timeout", "Process._resume:pe*", 71, 0, 71),
+        ("Timeout", "TorusNetwork._flush_reservations", 21, 21, 0),
+        ("Timeout", "_Chain", 8, 0, 8),
+        ("Timeout", "_FirstWake", 126, 0, 126),
+    ],
+    32: [
+        ("Event", "(no-callback)", 157, 157, 0),
+        ("Event", "Process._resume:mu*-ififo*", 20, 20, 0),
+        ("Event", "Process._resume:pe*", 198, 198, 0),
+        ("Event", "_Chain", 28, 28, 0),
+        ("Event", "_FirstWake", 144, 144, 0),
+        ("Timeout", "Process._resume:mu*-ififo*", 12, 0, 12),
+        ("Timeout", "Process._resume:pe*", 45, 0, 45),
+        ("Timeout", "_FirstWake", 457, 0, 457),
+    ],
+}
+
+
+@pytest.mark.parametrize("stride", sorted(PINGPONG_SITES))
+def test_pingpong_site_counts_are_pinned(stride):
+    with ProfileSession("pingpong", stride=stride) as sess:
+        pingpong_run(RunConfig(nnodes=2), nbytes=256, trips=6)
+    sites = sorted(
+        (n["event_type"], n["owner"], n["count"], n["deque_pops"], n["heap_pops"])
+        for n in sess.profile().nodes
+    )
+    assert sites == PINGPONG_SITES[stride]
+
+
+def test_sanitize_inside_profile_session_takes_the_checked_path():
+    base = run_workload(Environment())
+    with sanitized(), ProfileSession("t", stride=1):
+        checked = run_workload(Environment())
+        env = Environment()
+    assert checked == base
+
+    env.timeout(1.0)  # pending work for the reentrant call to grab
+    ev = env.event()
+    ev._add_callback(lambda _event: env.step())
+    ev.succeed()
+    with pytest.raises(SanitizerError, match="reentrant"):
+        env.step()

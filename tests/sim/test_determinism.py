@@ -6,27 +6,67 @@ Two properties, checked over randomized producer/consumer workloads:
    trajectories (event counts, final simulated time, queue and L2
    statistics) across repeated runs.
 
-2. **Fast path == slow path** — setting ``REPRO_ENGINE_SLOWPATH=1``
-   (which routes every event through the reference heap instead of the
-   zero-delay deque, see ``repro.sim.engine``) yields a bit-identical
-   trajectory.  This is the engine's core invariant: the fast path must
-   be cycle-for-cycle neutral, not merely "statistically equivalent".
+2. **Engine == all-heap reference** — the same workload on the
+   reference engine of :func:`all_heap_reference` (every event through
+   one heap, no zero-delay deque, see ``repro.sim.engine``) yields a
+   bit-identical trajectory.  This is the engine's core invariant: the
+   deque must be cycle-for-cycle neutral, not merely "statistically
+   equivalent".
 
 All random choices are drawn *before* the simulation starts, so the
 workload itself cannot leak host iteration order into the trajectory.
 """
 
+import heapq
 import random
+from contextlib import contextmanager
 
 import pytest
 
 from repro.bgq import BGQMachine
 from repro.converse import RunConfig
 from repro.harness.pingpong import pingpong_run
+from repro.obs import ProfileSession
 from repro.queues import L2AtomicQueue, MutexQueue
 from repro.sim import Environment
 
 SEEDS = [7, 23, 1234]
+
+
+class _HeapOnly:
+    """Zero-delay store that schedules onto the heap instead.
+
+    It always reads as empty, so the engine pops every event from the
+    heap by ``(time, seq)``: the classic single-heap order.
+    """
+
+    __slots__ = ("queue",)
+
+    def __init__(self, queue):
+        self.queue = queue
+
+    def append(self, entry):
+        heapq.heappush(self.queue, entry)
+
+    def __bool__(self):
+        return False
+
+
+@contextmanager
+def all_heap_reference():
+    """Every Environment built inside the block is the all-heap reference."""
+    init = Environment.__init__
+
+    def init_all_heap(env, *args, **kwargs):
+        init(env, *args, **kwargs)
+        # Swapping the engine's stores is the point of the reference.
+        env._imm = _HeapOnly(env._queue)  # repro-lint: disable=P3
+
+    Environment.__init__ = init_all_heap
+    try:
+        yield
+    finally:
+        Environment.__init__ = init
 
 
 def _fuzz_workload(seed: int) -> dict:
@@ -114,19 +154,54 @@ def test_fuzz_workload_run_twice_identical(seed):
     assert _fuzz_workload(seed) == _fuzz_workload(seed)
 
 
+def test_all_heap_reference_pops_only_from_the_heap():
+    with all_heap_reference(), ProfileSession("ref", stride=1) as session:
+        env = Environment()
+        env.event().succeed()
+        env.timeout(0)
+        env.run()
+    nodes = session.profile().nodes
+    assert sum(n["heap_pops"] for n in nodes) == env.events_executed == 2
+
+
 @pytest.mark.parametrize("seed", SEEDS)
-def test_fuzz_workload_fastpath_matches_slowpath(seed, monkeypatch):
-    monkeypatch.delenv("REPRO_ENGINE_SLOWPATH", raising=False)
+def test_fuzz_workload_fastpath_matches_slowpath(seed):
     fast = _fuzz_workload(seed)
-    monkeypatch.setenv("REPRO_ENGINE_SLOWPATH", "1")
-    slow = _fuzz_workload(seed)
+    with all_heap_reference():
+        slow = _fuzz_workload(seed)
     assert fast == slow
 
 
-def test_pingpong_fastpath_matches_slowpath(monkeypatch):
+def test_pingpong_fastpath_matches_slowpath():
     """Full-stack coverage: Converse runtime + PAMI + MU + torus."""
-    monkeypatch.delenv("REPRO_ENGINE_SLOWPATH", raising=False)
     fast = _pingpong_fingerprint()
-    monkeypatch.setenv("REPRO_ENGINE_SLOWPATH", "1")
-    slow = _pingpong_fingerprint()
+    with all_heap_reference():
+        slow = _pingpong_fingerprint()
     assert fast == slow
+
+
+def _same_time_order() -> list:
+    """Dispatch order when timeouts land together with the zero-delay
+    events they trigger: a heap entry scheduled earlier at the same
+    timestamp pops before a later deque entry."""
+    env = Environment()
+    order = []
+
+    def sleeper(k):
+        yield env.timeout(5)
+        order.append(f"timeout{k}")
+        yield env.event().succeed()
+        order.append(f"wake{k}")
+
+    for k in range(3):
+        env.process(sleeper(k))
+    env.run()
+    return order
+
+
+def test_same_time_heap_entries_order_like_the_reference():
+    fast = _same_time_order()
+    with all_heap_reference():
+        slow = _same_time_order()
+    assert fast == slow
+    assert fast[:3] == ["timeout0", "timeout1", "timeout2"]

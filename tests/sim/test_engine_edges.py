@@ -110,6 +110,40 @@ def test_process_interrupt_cause_and_resume():
     assert log == [{"why": "test"}, 8]
 
 
+def test_two_same_time_interrupts_detach_the_rewait():
+    """Each interrupt detaches the wait the process holds when it lands.
+
+    After the first Interrupt the victim re-yields; the second one, sent
+    at the same timestamp, must detach that new wait, so only the wait
+    taken after the second Interrupt wakes the victim.
+    """
+    from repro.sim import Interrupt
+
+    env = Environment()
+    log = []
+
+    def victim():
+        try:
+            yield env.timeout(1000, value="slept1000")
+        except Interrupt as first:
+            try:
+                yield env.timeout(100, value="slept100")
+            except Interrupt as second:
+                got = yield env.timeout(500, value="slept500")
+                log.append((first.cause, second.cause, env.now, got))
+
+    p = env.process(victim())
+
+    def interrupter():
+        yield env.timeout(10)
+        p.interrupt("a")
+        p.interrupt("b")
+
+    env.process(interrupter())
+    env.run()
+    assert log == [("a", "b", 510, "slept500")]
+
+
 def test_process_requires_generator():
     env = Environment()
     with pytest.raises(SimulationError):

@@ -1,15 +1,16 @@
-"""Tests for the timeline recorder and utilization profiles."""
+"""Tests for tracer timelines and utilization profiles."""
 
 import numpy as np
 import pytest
 
-from repro.sim import Environment, TimelineRecorder
+from repro.sim import Environment
 from repro.sim.trace import render_ascii_timeline, utilization_profile
+from repro.trace import Tracer
 
 
 def make_recorder():
     env = Environment()
-    rec = TimelineRecorder(env)
+    rec = Tracer(env)
 
     def worker():
         rec.begin(0, "integrate")
@@ -27,7 +28,7 @@ def make_recorder():
 
 def test_segments_recorded():
     _, rec = make_recorder()
-    cats = [(s.category, s.start, s.end) for s in rec.segments]
+    cats = [(s.category, s.start, s.end) for s in rec.spans]
     assert cats == [("integrate", 0, 10), ("pme", 10, 40), ("idle", 40, 100)]
 
 
@@ -47,7 +48,7 @@ def test_utilization_busy_and_useful():
 
 def test_utilization_excludes_overhead_from_useful():
     env = Environment()
-    rec = TimelineRecorder(env)
+    rec = Tracer(env)
     rec.record(0, "comm", 0, 50)
     rec.record(0, "pme", 50, 100)
     busy, useful = rec.utilization()
@@ -57,7 +58,7 @@ def test_utilization_excludes_overhead_from_useful():
 
 def test_finish_closes_open_segments():
     env = Environment()
-    rec = TimelineRecorder(env)
+    rec = Tracer(env)
 
     def worker():
         rec.begin(3, "nonbonded")
@@ -67,28 +68,28 @@ def test_finish_closes_open_segments():
     env.process(worker())
     env.run()
     rec.finish()
-    assert len(rec.segments) == 1
-    seg = rec.segments[0]
-    assert (seg.thread, seg.category, seg.start, seg.end) == (3, "nonbonded", 0, 25)
+    assert len(rec.spans) == 1
+    seg = rec.spans[0]
+    assert (seg.track, seg.category, seg.start, seg.end) == (3, "nonbonded", 0, 25)
 
 
 def test_record_validates_order():
     env = Environment()
-    rec = TimelineRecorder(env)
+    rec = Tracer(env)
     with pytest.raises(ValueError):
         rec.record(0, "pme", 10, 5)
 
 
 def test_zero_length_segments_dropped():
     env = Environment()
-    rec = TimelineRecorder(env)
+    rec = Tracer(env)
     rec.record(0, "pme", 5, 5)
-    assert rec.segments == []
+    assert rec.spans == []
 
 
 def test_utilization_profile_bins_sum():
     env = Environment()
-    rec = TimelineRecorder(env)
+    rec = Tracer(env)
     rec.record(0, "pme", 0, 50)
     rec.record(0, "idle", 50, 100)
     prof = utilization_profile(rec, bins=10)
@@ -99,7 +100,7 @@ def test_utilization_profile_bins_sum():
 
 def test_utilization_profile_multi_thread_normalized():
     env = Environment()
-    rec = TimelineRecorder(env)
+    rec = Tracer(env)
     rec.record(0, "pme", 0, 100)
     rec.record(1, "idle", 0, 100)
     prof = utilization_profile(rec, bins=4)
@@ -109,7 +110,7 @@ def test_utilization_profile_multi_thread_normalized():
 
 def test_utilization_profile_empty_raises():
     env = Environment()
-    rec = TimelineRecorder(env)
+    rec = Tracer(env)
     with pytest.raises(ValueError):
         utilization_profile(rec)
 
@@ -124,5 +125,5 @@ def test_ascii_render_contains_threads_and_legend():
 
 def test_ascii_render_empty():
     env = Environment()
-    rec = TimelineRecorder(env)
+    rec = Tracer(env)
     assert "empty" in render_ascii_timeline(rec)
