@@ -4,7 +4,7 @@ export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
 .PHONY: tier1 test lint trace-test trace-demo trace-gate bench bench-gate chaos shard-gate iso-gate serve-gate obs-gate
 
-tier1: test bench-gate trace-gate iso-gate serve-gate obs-gate lint  ## full tier-1 flow: tests + gates + lint
+tier1: test bench-gate shard-gate trace-gate iso-gate serve-gate obs-gate lint  ## full tier-1 flow: tests + gates + lint
 
 test:            ## tier-1 test suite
 	$(PYTHON) -m pytest -x -q
@@ -22,7 +22,7 @@ shard-gate:      ## sharded-vs-serial equivalence gate: every gated benchmark mu
                  ## produce bit-identical simulated times on the sharded PDES engine
                  ## (shards 1/2/4 + the subprocess transport) and the serial engine
                  ## (docs/SCALING.md)
-	$(PYTHON) -c "from repro.harness.benchgate import main; raise SystemExit(main(['--shard-gate']))"
+	$(PYTHON) -m repro.harness.shardbench
 
 iso-gate:        ## concurrent-Environment isolation gate: N independent
                  ## Environments stepped in adversarial interleaving must

@@ -10,7 +10,8 @@ from .benchgate import (
     run_gate,
 )
 from .fftbench import des_fft_step_us, des_vs_model, table1_model, table1_report
-from .isogate import IsoInstance, isolation_gate, run_interleaved, run_solo
+from .builders import DeferredRun
+from .isogate import isolation_gate, run_interleaved, run_solo
 from .namdbench import (
     PAPER_TABLE2,
     apoa1_pme_every_step,
@@ -42,10 +43,10 @@ from .timelines import (
 
 __all__ = [
     "AllocBenchResult",
+    "DeferredRun",
     "FIG4_MODES",
     "FIG4_SIZES",
     "GATE_BENCHMARKS",
-    "IsoInstance",
     "PAPER_TABLE2",
     "TraceResult",
     "bench_fig3_m2m",

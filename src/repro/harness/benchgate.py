@@ -35,7 +35,6 @@ EXPERIMENTS.md ("Benchmark gate") for the schema and workflow, and
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import hashlib
 import json
 import os
@@ -47,6 +46,8 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from ..converse import RunConfig
 from ..ioutil import atomic_write_json
+from ..sim import Environment
+from .builders import build_namd, fig10_sim_times, namd_sim_times, pingpong_sim_times
 
 __all__ = [
     "GATE_BENCHMARKS",
@@ -129,12 +130,9 @@ def bench_pingpong(nbytes: int = 512, trips: int = 1500) -> dict:
 
     config = RunConfig(nnodes=2, workers_per_process=4)
     run = pingpong_run(config, nbytes, trips=trips)
-    sim_times = {
-        "final": repr(run["sim_time"]),
-        "rtt_sum": repr(float(sum(run["rtts"]))),
-    }
     return _record(
-        run["wall_s"], run["events"], sim_times, oneway_us=round(run["oneway_us"], 4)
+        run["wall_s"], run["events"], pingpong_sim_times(run),
+        oneway_us=round(run["oneway_us"], 4),
     )
 
 
@@ -147,39 +145,27 @@ def _namd_run(
     comm_threads: int,
     seed: int = 17,
 ) -> dict:
-    """One untraced mini-NAMD run; returns raw engine statistics.
+    """One untraced serial mini-NAMD run; returns raw engine statistics.
 
-    Mirrors :func:`repro.harness.timelines.run_traced_namd`'s workload
-    (short 7.5 A cutoff — the paper's fine-grained regime) but with the
+    The workload of :func:`repro.harness.timelines.run_traced_namd`
+    (short 7.5 A cutoff — the paper's fine-grained regime) with the
     tracer off, so the gate measures the engine, not the tracer.
     """
-    from ..charm import Charm
-    from ..namd.charm_app import NamdCharm
-    from ..namd.system import APOA1, build_system
-
-    spec = dataclasses.replace(APOA1, cutoff=7.5)
-    system = build_system(
-        n_atoms, spec_like=spec, temperature=0.003, bond_fraction=0.0, seed=seed
+    config = RunConfig(
+        nnodes=nnodes,
+        workers_per_process=workers,
+        comm_threads_per_process=comm_threads,
     )
-    charm = Charm(
-        RunConfig(
-            nnodes=nnodes,
-            workers_per_process=workers,
-            comm_threads_per_process=comm_threads,
-        )
+    run = build_namd(
+        Environment(), config, use_m2m_pme=use_m2m_pme, n_atoms=n_atoms,
+        n_steps=n_steps, seed=seed, cutoff=7.5,
     )
-    app = NamdCharm(
-        charm, system, n_steps=n_steps, pme_every=1, use_m2m_pme=use_m2m_pme, dt=0.004
-    )
-    t0 = time.perf_counter()
-    app.run()
-    wall_s = time.perf_counter() - t0
-    env = charm.env
+    wall_s = run.run()
     return {
         "wall_s": wall_s,
-        "events": env.events_executed,
-        "sim_time": env.now,
-        "step_times": tuple(t for t, _ in app.step_log),
+        "events": run.env.events_executed,
+        "sim_time": run.env.now,
+        "step_times": tuple(run.observe()["steps"]),
     }
 
 
@@ -188,13 +174,8 @@ def bench_fig3_m2m(
     comm_threads: int = 2,
 ) -> dict:
     """The Fig. 3 many-to-many PME run — the gate's headline benchmark."""
-    run = _namd_run(
-        True, n_steps, n_atoms, nnodes, workers, comm_threads
-    )
-    sim_times = {"final": repr(run["sim_time"])}
-    for i, t in enumerate(run["step_times"]):
-        sim_times[f"step{i}"] = repr(t)
-    return _record(run["wall_s"], run["events"], sim_times)
+    run = _namd_run(True, n_steps, n_atoms, nnodes, workers, comm_threads)
+    return _record(run["wall_s"], run["events"], namd_sim_times(run))
 
 
 def bench_fig10_window(
@@ -204,19 +185,10 @@ def bench_fig10_window(
     """Fig. 10: steps completed in a fixed window, std vs m2m PME."""
     std = _namd_run(False, n_steps, n_atoms, nnodes, workers, comm_threads)
     m2m = _namd_run(True, n_steps, n_atoms, nnodes, workers, comm_threads)
-    window = std["sim_time"] * 0.75
-    steps_std = sum(1 for t in std["step_times"] if t <= window)
-    steps_m2m = sum(1 for t in m2m["step_times"] if t <= window)
-    sim_times = {
-        "final_std": repr(std["sim_time"]),
-        "final_m2m": repr(m2m["sim_time"]),
-        "steps_in_window_std": repr(steps_std),
-        "steps_in_window_m2m": repr(steps_m2m),
-    }
     return _record(
         std["wall_s"] + m2m["wall_s"],
         std["events"] + m2m["events"],
-        sim_times,
+        fig10_sim_times(std, m2m),
     )
 
 
@@ -358,6 +330,10 @@ def compare_records(
     regression).  A baseline without calibration cannot be
     speed-compared meaningfully; throughput then becomes a note and
     only checksums gate.
+
+    A baseline benchmark missing from ``current`` fails when both
+    records ran at the same ``scale`` (the run silently dropped it) and
+    is a note otherwise (e.g. a tiny run against a full-scale record).
     """
     failures: List[str] = []
     notes: List[str] = []
@@ -387,6 +363,13 @@ def compare_records(
                 "calibration present in only one record — events/sec not "
                 "comparable, gating on checksums only"
             )
+    same_scale = baseline.get("scale") == current.get("scale")
+    for name in base_b:
+        if name not in cur_b:
+            if same_scale:
+                failures.append(f"{name}: in the baseline but missing from this run")
+            else:
+                notes.append(f"{name}: not run at this scale")
     for name in cur_b:
         if name not in base_b:
             notes.append(f"{name}: no baseline entry (new benchmark)")
@@ -476,30 +459,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         "comparison — use on machines other than the one that recorded "
         "the baseline, e.g. CI)",
     )
-    parser.add_argument(
-        "--shard-gate", action="store_true",
-        help="run the sharded-vs-serial equivalence gate instead of the "
-        "regression gate: every gated benchmark must produce bit-identical "
-        "simulated times on the sharded PDES engine (shards in {1,2,4}) "
-        "and the serial engine (see docs/SCALING.md)",
-    )
     args = parser.parse_args(argv)
-
-    if args.shard_gate:
-        from .shardbench import shard_equivalence_gate
-
-        t0 = time.perf_counter()
-        failures, notes = shard_equivalence_gate(scale=args.scale)
-        wall = time.perf_counter() - t0
-        print(f"shard-gate: serial-vs-sharded equivalence ({wall:.1f}s total)")
-        for note in notes:
-            print(f"  {note}")
-        if failures:
-            for failure in failures:
-                print(f"  FAIL: {failure}", file=sys.stderr)
-            return 1
-        print("shard-gate: PASS (bit-identical simulated times)")
-        return 0
 
     root = args.root.resolve()
     out = args.out if args.out is not None else next_bench_path(root)

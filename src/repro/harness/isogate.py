@@ -26,19 +26,16 @@ many-to-many PME), so both runtime layers are exercised concurrently.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..converse import ConverseRuntime, RunConfig
-from ..converse.messages import ConverseMessage
+from ..converse import RunConfig
 from ..sim import Environment
+from .builders import DeferredRun, build_namd, build_pingpong
 
 __all__ = [
-    "IsoInstance",
     "build_pingpong_instance",
     "build_namd_instance",
     "gate_workloads",
@@ -54,69 +51,19 @@ __all__ = [
 STRIDES: Tuple[int, ...] = (1, 2, 3, 5)
 
 
-@dataclass
-class IsoInstance:
-    """One deferred-run workload: built and seeded, but not yet stepped."""
-
-    name: str
-    env: Environment
-    start: Callable[[], None]  # bring up scheduler loops (before stepping)
-    stop: Callable[[], None]  # tear down scheduler loops (after done)
-    done: object  # Event whose processing ends the run
-    result: Callable[[], Dict[str, object]]  # repr'd workload observables
-
-    def checksum(self) -> str:
-        """Bit-exact digest of final sim time, event count and results."""
-        payload = {
-            "now": repr(self.env.now),
-            "events": self.env.events_executed,
-        }
-        payload.update(self.result())
-        blob = json.dumps(payload, sort_keys=True)
-        return hashlib.sha256(blob.encode()).hexdigest()[:12]
-
-
 def build_pingpong_instance(
     name: str,
     config: RunConfig,
     nbytes: int,
     dst_rank: Optional[int] = None,
     trips: int = 8,
-) -> IsoInstance:
+) -> DeferredRun:
     """A deferred ping-pong run (same protocol as ``pingpong_run``)."""
-    env = Environment()
-    rt = ConverseRuntime(env, config)
-    src_rank = 0
-    if dst_rank is None:
-        dst_rank = config.pes_per_node  # first PE of node 1
-    rtts: List[float] = []
-    done = env.event()
-    state = {"t0": 0.0, "trip": 0}
-
-    def pong(pe, msg):
-        yield from pe.send(src_rank, hid_ping, nbytes, None)
-
-    def ping(pe, msg):
-        now = env.now
-        if state["trip"] > 0:
-            rtts.append(now - state["t0"])
-        if state["trip"] >= trips:
-            done.succeed()
-            return
-        state["t0"] = now
-        state["trip"] += 1
-        yield from pe.send(dst_rank, hid_pong, nbytes, None)
-
-    hid_pong = rt.register_handler(pong)
-    hid_ping = rt.register_handler(ping)
-    rt.pes[src_rank].local_q.append(
-        ConverseMessage(hid_ping, 0, None, src_rank, src_rank)
+    run = build_pingpong(
+        Environment(), config, nbytes, dst_rank=dst_rank, trips=trips
     )
-
-    def result() -> Dict[str, object]:
-        return {"rtts": [repr(t) for t in rtts]}
-
-    return IsoInstance(name, env, rt.start, rt.stop, done, result)
+    run.name = name
+    return run
 
 
 def build_namd_instance(
@@ -125,99 +72,55 @@ def build_namd_instance(
     n_atoms: int = 216,
     n_steps: int = 2,
     seed: int = 7,
-) -> IsoInstance:
+) -> DeferredRun:
     """A deferred tiny mini-NAMD run (Charm layer over Converse)."""
-    from ..charm import Charm
-    from ..namd.charm_app import NamdCharm
-    from ..namd.system import build_system
-
-    charm = Charm(
-        RunConfig(nnodes=2, workers_per_process=2, comm_threads_per_process=1)
+    run = build_namd(
+        Environment(),
+        RunConfig(nnodes=2, workers_per_process=2, comm_threads_per_process=1),
+        use_m2m_pme=use_m2m_pme, n_atoms=n_atoms, n_steps=n_steps, seed=seed,
     )
-    system = build_system(
-        n_atoms, temperature=0.003, bond_fraction=0.0, seed=seed
-    )
-    app = NamdCharm(
-        charm, system, n_steps=n_steps, pme_every=1, use_m2m_pme=use_m2m_pme,
-        dt=0.004,
-    )
-    for p in app.patches.indices:
-        charm.seed(app.patches, p, "start")
-
-    def result() -> Dict[str, object]:
-        return {
-            "steps": [repr(t) for t, _ in app.step_log],
-            "kinetic": [repr(ke) for _, ke in app.step_log],
-        }
-
-    return IsoInstance(name, charm.env, charm.start, charm.runtime.stop,
-                       charm.done, result)
+    run.name = name
+    return run
 
 
-def gate_workloads(scale: str = "full") -> List[Tuple[str, Callable[[], IsoInstance]]]:
+#: The ping-pong instances: (name, RunConfig keywords, bytes, dst rank).
+_PINGPONGS: Tuple[Tuple[str, dict, int, Optional[int]], ...] = (
+    ("pingpong/non-SMP/512B",
+     dict(nnodes=2, processes_per_node=1, workers_per_process=1), 512, None),
+    ("pingpong/SMP/2048B", dict(nnodes=2, workers_per_process=4), 2048, None),
+    ("pingpong/SMP+ct/16B",
+     dict(nnodes=2, workers_per_process=4, comm_threads_per_process=1), 16, None),
+    ("pingpong/intranode-SMP/128B", dict(nnodes=1, workers_per_process=4), 128, 3),
+)
+
+
+def gate_workloads(scale: str = "full") -> List[Tuple[str, Callable[[], DeferredRun]]]:
     """(name, builder) pairs; each call to a builder is a fresh instance."""
     trips = 6 if scale == "tiny" else 8
-    workloads: List[Tuple[str, Callable[[], IsoInstance]]] = [
-        (
-            "pingpong/non-SMP/512B",
-            lambda: build_pingpong_instance(
-                "pingpong/non-SMP/512B",
-                RunConfig(nnodes=2, processes_per_node=1, workers_per_process=1),
-                512, trips=trips,
-            ),
-        ),
-        (
-            "pingpong/SMP/2048B",
-            lambda: build_pingpong_instance(
-                "pingpong/SMP/2048B",
-                RunConfig(nnodes=2, workers_per_process=4),
-                2048, trips=trips,
-            ),
-        ),
-        (
-            "pingpong/SMP+ct/16B",
-            lambda: build_pingpong_instance(
-                "pingpong/SMP+ct/16B",
-                RunConfig(
-                    nnodes=2, workers_per_process=4, comm_threads_per_process=1
-                ),
-                16, trips=trips,
-            ),
-        ),
-        (
-            "pingpong/intranode-SMP/128B",
-            lambda: build_pingpong_instance(
-                "pingpong/intranode-SMP/128B",
-                RunConfig(nnodes=1, workers_per_process=4),
-                128, dst_rank=3, trips=trips,
-            ),
-        ),
+    workloads: List[Tuple[str, Callable[[], DeferredRun]]] = [
+        (name, lambda name=name, cfg=cfg, nbytes=nbytes, dst=dst:
+            build_pingpong_instance(
+                name, RunConfig(**cfg), nbytes, dst_rank=dst, trips=trips
+            ))
+        for name, cfg, nbytes, dst in _PINGPONGS
     ]
     if scale == "full":
         workloads += [
-            (
-                "namd/std-PME",
-                lambda: build_namd_instance("namd/std-PME", use_m2m_pme=False),
-            ),
-            (
-                "namd/m2m-PME",
-                lambda: build_namd_instance("namd/m2m-PME", use_m2m_pme=True),
-            ),
+            (name, lambda name=name, m2m=m2m: build_namd_instance(name, m2m))
+            for name, m2m in (("namd/std-PME", False), ("namd/m2m-PME", True))
         ]
     return workloads
 
 
-def run_solo(build: Callable[[], IsoInstance]) -> Tuple[str, str]:
+def run_solo(build: Callable[[], DeferredRun]) -> Tuple[str, str]:
     """Run one workload alone via the normal run path; return (name, checksum)."""
     inst = build()
-    inst.start()
-    inst.env.run(until=inst.done)
-    inst.stop()
+    inst.run()
     return inst.name, inst.checksum()
 
 
 def run_interleaved(
-    builders: Sequence[Callable[[], IsoInstance]],
+    builders: Sequence[Callable[[], DeferredRun]],
     strides: Sequence[int] = STRIDES,
 ) -> Dict[str, str]:
     """Build every workload fresh, step them round-robin, return checksums.

@@ -14,16 +14,15 @@ contexts, MU packets and torus links.
 
 from __future__ import annotations
 
-import time
-from typing import Dict, List, Sequence, Tuple
+from types import MappingProxyType
+from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
 from ..bgq.params import CYCLES_PER_US
-from ..converse import ConverseRuntime, RunConfig
-from ..converse.messages import ConverseMessage
+from ..converse import RunConfig
 from ..sim import Environment
-from types import MappingProxyType
+from .builders import build_pingpong
 
 __all__ = [
     "pingpong_run",
@@ -62,35 +61,12 @@ def pingpong_run(
     loop (``wall_s``), engine events processed (``events``), and the
     final simulated time in cycles (``sim_time``).
     """
-    env = Environment()
-    rt = ConverseRuntime(env, config)
-    if dst_rank is None:
-        dst_rank = config.pes_per_node  # first PE of node 1
-    rtts: List[float] = []
-    done = env.event()
-    state = {"t0": 0.0, "trip": 0}
-
-    def pong(pe, msg):
-        # Remote side: bounce straight back.
-        yield from pe.send(src_rank, hid_ping, nbytes, None)
-
-    def ping(pe, msg):
-        now = env.now
-        if state["trip"] > 0:
-            rtts.append(now - state["t0"])
-        if state["trip"] >= trips:
-            done.succeed()
-            return
-        state["t0"] = now
-        state["trip"] += 1
-        yield from pe.send(dst_rank, hid_pong, nbytes, None)
-
-    hid_pong = rt.register_handler(pong)
-    hid_ping = rt.register_handler(ping)
-    rt.pes[src_rank].local_q.append(ConverseMessage(hid_ping, 0, None, src_rank, src_rank))
-    t0 = time.perf_counter()
-    rt.run_until(done)
-    wall_s = time.perf_counter() - t0
+    run = build_pingpong(
+        Environment(), config, nbytes, src_rank=src_rank, dst_rank=dst_rank,
+        trips=trips,
+    )
+    wall_s = run.run()
+    rtts = run.observe()["rtts"]
     usable = rtts[skip:]
     if not usable:
         raise RuntimeError("ping-pong completed no measurable trips")
@@ -98,8 +74,8 @@ def pingpong_run(
         "oneway_us": float(np.mean(usable)) / 2.0 / CYCLES_PER_US,
         "rtts": rtts,
         "wall_s": wall_s,
-        "events": env.events_executed,
-        "sim_time": env.now,
+        "events": run.env.events_executed,
+        "sim_time": run.env.now,
     }
 
 

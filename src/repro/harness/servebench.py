@@ -40,7 +40,8 @@ from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..serve import DONE, EnvTask, JobService, JobSpec, ModelTask, ShardedTask
-from .isogate import IsoInstance, gate_workloads
+from .builders import DeferredRun
+from .isogate import gate_workloads
 from .report import format_serve_metrics
 
 __all__ = [
@@ -64,7 +65,7 @@ SLICE_CYCLE: Tuple[int, ...] = (32, 96, 256)
 PRIORITY_CYCLE: Tuple[int, ...] = (0, 1, 2)
 
 
-def _env_task_build(name: str, build_iso: Callable[[], IsoInstance]):
+def _env_task_build(name: str, build_iso: Callable[[], DeferredRun]):
     """JobSpec.build adapter: isogate workload -> EnvTask."""
 
     def build(spec: JobSpec) -> EnvTask:
@@ -84,39 +85,32 @@ def _env_task_build(name: str, build_iso: Callable[[], IsoInstance]):
 def _sharded_task_build(nnodes: int, nshards: int, nbytes: int, trips: int):
     """JobSpec.build adapter: sharded ping-pong -> ShardedTask.
 
-    Reuses the shardbench mirror builder (same construction as
-    ``make shard-gate``); the task's windowed ``advance()`` replays the
-    ShardCoordinator loop one window per slice.
+    Builds the shard mirrors exactly as the shard gate does
+    (:func:`repro.harness.shardbench.shard_mirrors`); the task's
+    windowed ``advance()`` replays the ShardCoordinator loop one window
+    per slice.
     """
-    from ..bgq.shardnet import ReservationFabric
     from ..converse import RunConfig
-    from .shardbench import _build_pingpong_shard
+    from .builders import build_pingpong
+    from .shardbench import shard_mirrors
 
     def build(spec: JobSpec) -> ShardedTask:
         config = RunConfig(nnodes=nnodes, workers_per_process=2)
         dst_rank = (nnodes - 1) * config.pes_per_node
-        fabric = ReservationFabric(nnodes, nshards)
-        shards = [
-            _build_pingpong_shard(
-                sid, nshards, config, nbytes, trips, 0, dst_rank, fabric
-            )
-            for sid in range(nshards)
-        ]
-        root = shards[0]
-
-        def result() -> Dict[str, Any]:
-            # Shard 0's result_fn stops its runtime as a side effect, so
-            # route teardown through on_stop and keep result() pure.
-            raw = root.result_fn()
-            return {"rtts": [repr(t) for t in raw["rtts"]]}
-
+        runs, fabric = shard_mirrors(
+            lambda env, machine: build_pingpong(
+                env, config, nbytes, dst_rank=dst_rank, trips=trips,
+                machine=machine,
+            ),
+            nnodes, nshards,
+        )
         return ShardedTask(
-            [s.env for s in shards],
-            root.done,
+            [r.env for r in runs],
+            runs[0].done,
             fabric.window,
             fabric,
-            on_stop=lambda: [s.runtime.stop() for s in shards[1:]],
-            result_fn=result,
+            on_stop=lambda: [r.stop() for r in runs],
+            result_fn=runs[0].result,
             label=spec.name,
         )
 

@@ -1,25 +1,25 @@
-"""Sharded-engine benchmark builders and the equivalence gate core.
+"""Sharded-engine benchmark runs and the equivalence gate.
 
 This module turns the gated single-process benchmarks (pingpong,
 fig3_m2m, fig10_window — see :mod:`repro.harness.benchgate`) into
-SPMD sharded runs: every shard constructs an identical mirror of the
-application (same seeds, same construction order, same handler ids)
-over a :class:`~repro.bgq.shardnet.ShardedBGQMachine` that builds only
-its own block of nodes, and a :class:`~repro.sim.shard.ShardCoordinator`
+SPMD sharded runs: every shard calls the same workload builder of
+:mod:`repro.harness.builders` over a
+:class:`~repro.bgq.shardnet.ShardedBGQMachine` that builds only its
+own block of nodes, and a :class:`~repro.sim.shard.ShardCoordinator`
 advances the shard environments in conservative lockstep windows.
 
 The point of the exercise is **bit-identical simulated time**: a
 sharded run must produce exactly the ``sim_times`` observables of the
 serial engine — same final clock ``repr``, same per-step boundaries —
 for shards ∈ {1, 2, 4}.  :func:`shard_equivalence_gate` checks exactly
-that; ``make shard-gate`` is the entry point and docs/SCALING.md the
-handbook.
+that; ``python -m repro.harness.shardbench`` (``make shard-gate``) is
+the entry point and docs/SCALING.md the handbook.
 
 SPMD mirror rules (violating any of these diverges the trajectory —
 see docs/SCALING.md, "Determinism"):
 
-* construct the application identically on every shard (same RNG
-  seeds, same array/construction order);
+* build every mirror with the same builder and arguments (same RNG
+  seeds, same construction order);
 * pre-register every entry method in one fixed order right after
   construction (:meth:`repro.charm.runtime.Charm.register_entries`) —
   handler ids ride inside payloads across shards;
@@ -30,17 +30,25 @@ see docs/SCALING.md, "Determinism"):
 
 from __future__ import annotations
 
-import dataclasses
+import argparse
+import sys
 import time
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..bgq.shardnet import ReservationFabric, ShardClient, ShardedBGQMachine
-from ..converse import ConverseRuntime, RunConfig
-from ..converse.messages import ConverseMessage
+from ..converse import RunConfig
 from ..sim.shard import ShardCoordinator, ShardEnvironment, run_sharded_subprocesses
+from .builders import (
+    DeferredRun,
+    build_namd,
+    build_pingpong,
+    fig10_sim_times,
+    namd_sim_times,
+    pingpong_sim_times,
+)
 
 __all__ = [
-    "NAMD_ENTRY_METHODS",
+    "shard_mirrors",
     "run_sharded_pingpong",
     "run_sharded_namd",
     "sharded_bench_pingpong",
@@ -48,96 +56,53 @@ __all__ = [
     "sharded_bench_fig10_window",
     "shard_equivalence_gate",
     "SHARD_GATE_SHARD_COUNTS",
+    "main",
 ]
-
-#: Every entry method mini-NAMD (incl. its embedded FFT service) sends;
-#: pre-registered in this order on every shard mirror so the lazily
-#: allocated handler ids agree across shards.
-NAMD_ENTRY_METHODS: Tuple[str, ...] = (
-    "start",
-    "take_positions",
-    "add_force",
-    "deposit",
-    "pme_slab",
-    "begin",
-    "recv_block",
-    "phase_done",
-)
 
 #: Shard counts the equivalence gate compares against the serial engine.
 SHARD_GATE_SHARD_COUNTS: Tuple[int, ...] = (1, 2, 4)
 
-
-class _Shard:
-    """One shard mirror of a benchmark (env + runtime + result hooks)."""
-
-    def __init__(self, env, runtime, done, result_fn) -> None:
-        self.env = env
-        self.runtime = runtime
-        self.done = done
-        self.result_fn = result_fn
+#: ``build(env, machine)`` for one shard mirror of a workload.
+MirrorBuilder = Callable[[ShardEnvironment, ShardedBGQMachine], DeferredRun]
 
 
-# ---------------------------------------------------------------------------
-# pingpong
-# ---------------------------------------------------------------------------
+def shard_mirrors(
+    build: MirrorBuilder, nnodes: int, nshards: int
+) -> Tuple[List[DeferredRun], ReservationFabric]:
+    """Build every in-process shard mirror, then start them all.
 
-def _build_pingpong_shard(
-    shard_id: int,
-    nshards: int,
-    config: RunConfig,
-    nbytes: int,
-    trips: int,
-    src_rank: int,
-    dst_rank: int,
-    fabric: Optional[ReservationFabric],
-) -> _Shard:
-    """One shard mirror of :func:`repro.harness.pingpong.pingpong_run`.
-
-    Mirrors the serial builder exactly: same handler registration order
-    (pong, then ping), same seed message.  Only the shard owning
-    ``src_rank`` seeds and owns the ``done`` event; the handlers only
-    ever execute on the shards owning their PEs.
+    Shard 0's ``done`` ends the run (rank 0 seeds both workloads and
+    hosts the mini-NAMD reduction roots).
     """
-    env = ShardEnvironment(shard_id)
-    machine = ShardedBGQMachine(env, config.nnodes, shard_id, nshards, fabric=fabric)
-    rt = ConverseRuntime(env, config, machine=machine)
-    rtts: List[float] = []
-    done = env.event()
-    state = {"t0": 0.0, "trip": 0}
-
-    def pong(pe, msg):
-        yield from pe.send(src_rank, hid_ping, nbytes, None)
-
-    def ping(pe, msg):
-        now = env.now
-        if state["trip"] > 0:
-            rtts.append(now - state["t0"])
-        if state["trip"] >= trips:
-            done.succeed()
-            return
-        state["t0"] = now
-        state["trip"] += 1
-        yield from pe.send(dst_rank, hid_pong, nbytes, None)
-
-    hid_pong = rt.register_handler(pong)
-    hid_ping = rt.register_handler(ping)
-    src_pe = rt.pes[src_rank]
-    if src_pe is not None:
-        src_pe.local_q.append(
-            ConverseMessage(hid_ping, 0, None, src_rank, src_rank)
+    fabric = ReservationFabric(nnodes, nshards)
+    runs = []
+    for sid in range(nshards):
+        env = ShardEnvironment(sid)
+        runs.append(
+            build(env, ShardedBGQMachine(env, nnodes, sid, nshards, fabric=fabric))
         )
-    rt.start()
+    for run in runs:
+        run.start()
+    return runs, fabric
 
-    def result() -> Dict[str, Any]:
-        rt.stop()
-        return {
-            "sim_time": env.now,
-            "rtts": list(rtts),
-            "events": env.events_executed,
-        }
 
-    return _Shard(env, rt, done, result)
+def _run_inproc(build: MirrorBuilder, nnodes: int, nshards: int) -> Dict[str, Any]:
+    """Run the mirrors under a ShardCoordinator; root-shard statistics."""
+    runs, fabric = shard_mirrors(build, nnodes, nshards)
+    coordinator = ShardCoordinator([r.env for r in runs], fabric.window, fabric)
+    t0 = time.perf_counter()
+    coordinator.run(runs[0].done)
+    wall_s = time.perf_counter() - t0
+    for run in runs:
+        run.stop()
+    root = runs[0]
+    return {
+        "sim_time": root.env.now,
+        "events": sum(r.env.events_executed for r in runs),
+        "wall_s": wall_s,
+        "windows": coordinator.windows_run,
+        **root.observe(),
+    }
 
 
 def run_sharded_pingpong(
@@ -157,34 +122,36 @@ def run_sharded_pingpong(
     """
     if dst_rank is None:
         dst_rank = (config.nnodes - 1) * config.pes_per_node  # first PE, last node
-    if transport == "inproc":
-        fabric = ReservationFabric(config.nnodes, nshards)
-        shards = [
-            _build_pingpong_shard(
-                sid, nshards, config, nbytes, trips, src_rank, dst_rank, fabric
-            )
-            for sid in range(nshards)
-        ]
-        coordinator = ShardCoordinator(
-            [s.env for s in shards], fabric.window, fabric
+
+    def build(env, machine) -> DeferredRun:
+        return build_pingpong(
+            env, config, nbytes, src_rank=src_rank, dst_rank=dst_rank,
+            trips=trips, machine=machine,
         )
-        t0 = time.perf_counter()
-        coordinator.run(shards[0].done)
-        wall_s = time.perf_counter() - t0
-        per_shard = {s.env.shard_id: s.result_fn() for s in shards}
+
+    if transport == "inproc":
+        run = _run_inproc(build, config.nnodes, nshards)
     elif transport == "mp":
         fabric = ReservationFabric(config.nnodes, nshards)
 
         def build_client(shard_id: int, nshards_: int) -> ShardClient:
-            shard = _build_pingpong_shard(
-                shard_id, nshards_, config, nbytes, trips, src_rank, dst_rank,
-                fabric=None,
-            )
+            env = ShardEnvironment(shard_id)
+            machine = ShardedBGQMachine(env, config.nnodes, shard_id, nshards_)
+            shard = build(env, machine)
+            shard.start()
+
+            def result() -> Dict[str, Any]:
+                return {
+                    "sim_time": env.now,
+                    "events": env.events_executed,
+                    **shard.observe(),
+                }
+
             return ShardClient(
-                shard.env,
-                shard.runtime.machine,
+                env,
+                machine,
                 done=shard.done if shard_id == 0 else None,
-                result_fn=shard.result_fn,
+                result_fn=result,
             )
 
         t0 = time.perf_counter()
@@ -192,78 +159,22 @@ def run_sharded_pingpong(
             nshards, fabric.window, build_client, fabric
         )
         wall_s = time.perf_counter() - t0
+        run = {
+            **per_shard[0],
+            "events": sum(r["events"] for r in per_shard.values()),
+            "wall_s": wall_s,
+        }
     else:
         raise ValueError(f"unknown transport {transport!r}")
 
-    root = per_shard[0]
     return {
-        "sim_time": root["sim_time"],
-        "rtts": root["rtts"],
-        "events": sum(r["events"] for r in per_shard.values()),
-        "wall_s": wall_s,
+        "sim_time": run["sim_time"],
+        "rtts": run["rtts"],
+        "events": run["events"],
+        "wall_s": run["wall_s"],
         "nshards": nshards,
         "transport": transport,
     }
-
-
-# ---------------------------------------------------------------------------
-# mini-NAMD (fig3_m2m / fig10_window)
-# ---------------------------------------------------------------------------
-
-def _build_namd_shard(
-    shard_id: int,
-    nshards: int,
-    fabric: Optional[ReservationFabric],
-    use_m2m_pme: bool,
-    n_steps: int,
-    n_atoms: int,
-    nnodes: int,
-    workers: int,
-    comm_threads: int,
-    seed: int,
-) -> _Shard:
-    """One SPMD mirror of :func:`repro.harness.benchgate._namd_run`.
-
-    Every shard builds the identical system (same ``seed``) and Charm
-    application; entry methods are pre-registered in fixed order; seeds
-    land only on owning shards.  Requires the in-process transport:
-    the m2m slot back-channel and PME rendezvous flows carry object
-    references across shards.
-    """
-    from ..charm import Charm
-    from ..namd.charm_app import NamdCharm
-    from ..namd.system import APOA1, build_system
-
-    spec = dataclasses.replace(APOA1, cutoff=7.5)
-    system = build_system(
-        n_atoms, spec_like=spec, temperature=0.003, bond_fraction=0.0, seed=seed
-    )
-    config = RunConfig(
-        nnodes=nnodes,
-        workers_per_process=workers,
-        comm_threads_per_process=comm_threads,
-    )
-    env = ShardEnvironment(shard_id)
-    machine = ShardedBGQMachine(env, nnodes, shard_id, nshards, fabric=fabric)
-    charm = Charm(config, env=env, machine=machine)
-    app = NamdCharm(
-        charm, system, n_steps=n_steps, pme_every=1, use_m2m_pme=use_m2m_pme,
-        dt=0.004,
-    )
-    charm.register_entries(NAMD_ENTRY_METHODS)
-    for p in range(app.patch_grid.n_patches):
-        charm.seed(app.patches, p, "start")
-    charm.start()
-
-    def result() -> Dict[str, Any]:
-        charm.runtime.stop()
-        return {
-            "sim_time": env.now,
-            "events": env.events_executed,
-            "step_times": tuple(t for t, _ in app.step_log),
-        }
-
-    return _Shard(env, charm.runtime, charm.done, result)
 
 
 def run_sharded_namd(
@@ -277,34 +188,48 @@ def run_sharded_namd(
     seed: int = 17,
 ) -> Dict[str, Any]:
     """Sharded mini-NAMD run (in-process transport); serial-compatible
-    statistics from the root shard (rank 0 hosts both reduction roots)."""
-    fabric = ReservationFabric(nnodes, nshards)
-    shards = [
-        _build_namd_shard(
-            sid, nshards, fabric, use_m2m_pme, n_steps, n_atoms, nnodes,
-            workers, comm_threads, seed,
+    statistics from the root shard (rank 0 hosts both reduction roots).
+
+    Requires the in-process transport: the m2m slot back-channel and
+    PME rendezvous flows carry object references across shards.
+    """
+    config = RunConfig(
+        nnodes=nnodes,
+        workers_per_process=workers,
+        comm_threads_per_process=comm_threads,
+    )
+
+    def build(env, machine) -> DeferredRun:
+        return build_namd(
+            env, config, use_m2m_pme=use_m2m_pme, n_atoms=n_atoms,
+            n_steps=n_steps, seed=seed, cutoff=7.5, machine=machine,
         )
-        for sid in range(nshards)
-    ]
-    coordinator = ShardCoordinator([s.env for s in shards], fabric.window, fabric)
-    t0 = time.perf_counter()
-    coordinator.run(shards[0].done)
-    wall_s = time.perf_counter() - t0
-    per_shard = {s.env.shard_id: s.result_fn() for s in shards}
-    root = per_shard[0]
+
+    run = _run_inproc(build, nnodes, nshards)
     return {
-        "sim_time": root["sim_time"],
-        "step_times": root["step_times"],
-        "events": sum(r["events"] for r in per_shard.values()),
-        "wall_s": wall_s,
+        "sim_time": run["sim_time"],
+        "step_times": tuple(run["steps"]),
+        "events": run["events"],
+        "wall_s": run["wall_s"],
         "nshards": nshards,
-        "windows": coordinator.windows_run,
+        "windows": run["windows"],
     }
 
 
 # ---------------------------------------------------------------------------
 # benchmark records (benchgate-compatible sim_times dicts)
 # ---------------------------------------------------------------------------
+
+def _sharded_record(
+    runs: List[Dict[str, Any]], sim_times: Dict[str, str], nshards: int
+) -> Dict[str, Any]:
+    return {
+        "wall_s": sum(r["wall_s"] for r in runs),
+        "events": sum(r["events"] for r in runs),
+        "sim_times": sim_times,
+        "nshards": nshards,
+    }
+
 
 def sharded_bench_pingpong(
     nnodes: int, nshards: int, nbytes: int = 512, trips: int = 8,
@@ -315,15 +240,7 @@ def sharded_bench_pingpong(
         RunConfig(nnodes=nnodes, workers_per_process=4), nbytes,
         nshards, trips=trips, transport=transport,
     )
-    return {
-        "wall_s": run["wall_s"],
-        "events": run["events"],
-        "sim_times": {
-            "final": repr(run["sim_time"]),
-            "rtt_sum": repr(float(sum(run["rtts"]))),
-        },
-        "nshards": nshards,
-    }
+    return _sharded_record([run], pingpong_sim_times(run), nshards)
 
 
 def sharded_bench_fig3_m2m(
@@ -334,15 +251,7 @@ def sharded_bench_fig3_m2m(
     run = run_sharded_namd(
         True, n_steps, n_atoms, nnodes, workers, comm_threads, nshards
     )
-    sim_times = {"final": repr(run["sim_time"])}
-    for i, t in enumerate(run["step_times"]):
-        sim_times[f"step{i}"] = repr(t)
-    return {
-        "wall_s": run["wall_s"],
-        "events": run["events"],
-        "sim_times": sim_times,
-        "nshards": nshards,
-    }
+    return _sharded_record([run], namd_sim_times(run), nshards)
 
 
 def sharded_bench_fig10_window(
@@ -356,74 +265,12 @@ def sharded_bench_fig10_window(
     m2m = run_sharded_namd(
         True, n_steps, n_atoms, nnodes, workers, comm_threads, nshards
     )
-    window = std["sim_time"] * 0.75
-    sim_times = {
-        "final_std": repr(std["sim_time"]),
-        "final_m2m": repr(m2m["sim_time"]),
-        "steps_in_window_std": repr(
-            sum(1 for t in std["step_times"] if t <= window)
-        ),
-        "steps_in_window_m2m": repr(
-            sum(1 for t in m2m["step_times"] if t <= window)
-        ),
-    }
-    return {
-        "wall_s": std["wall_s"] + m2m["wall_s"],
-        "events": std["events"] + m2m["events"],
-        "sim_times": sim_times,
-        "nshards": nshards,
-    }
+    return _sharded_record([std, m2m], fig10_sim_times(std, m2m), nshards)
 
 
 # ---------------------------------------------------------------------------
 # the equivalence gate
 # ---------------------------------------------------------------------------
-
-def _serial_pingpong_sim_times(nnodes: int, nbytes: int, trips: int) -> Dict[str, str]:
-    from .pingpong import pingpong_run
-
-    config = RunConfig(nnodes=nnodes, workers_per_process=4)
-    run = pingpong_run(
-        config, nbytes, dst_rank=(nnodes - 1) * config.pes_per_node,
-        trips=trips,
-    )
-    return {
-        "final": repr(run["sim_time"]),
-        "rtt_sum": repr(float(sum(run["rtts"]))),
-    }
-
-
-def _serial_fig3_sim_times(
-    nnodes: int, n_steps: int, n_atoms: int, workers: int, comm_threads: int
-) -> Dict[str, str]:
-    from .benchgate import _namd_run
-
-    run = _namd_run(True, n_steps, n_atoms, nnodes, workers, comm_threads)
-    sim_times = {"final": repr(run["sim_time"])}
-    for i, t in enumerate(run["step_times"]):
-        sim_times[f"step{i}"] = repr(t)
-    return sim_times
-
-
-def _serial_fig10_sim_times(
-    nnodes: int, n_steps: int, n_atoms: int, workers: int, comm_threads: int
-) -> Dict[str, str]:
-    from .benchgate import _namd_run
-
-    std = _namd_run(False, n_steps, n_atoms, nnodes, workers, comm_threads)
-    m2m = _namd_run(True, n_steps, n_atoms, nnodes, workers, comm_threads)
-    window = std["sim_time"] * 0.75
-    return {
-        "final_std": repr(std["sim_time"]),
-        "final_m2m": repr(m2m["sim_time"]),
-        "steps_in_window_std": repr(
-            sum(1 for t in std["step_times"] if t <= window)
-        ),
-        "steps_in_window_m2m": repr(
-            sum(1 for t in m2m["step_times"] if t <= window)
-        ),
-    }
-
 
 def shard_equivalence_gate(
     scale: str = "full", shard_counts: Tuple[int, ...] = SHARD_GATE_SHARD_COUNTS
@@ -436,6 +283,9 @@ def shard_equivalence_gate(
     still match).  Any differing ``repr`` of any simulated-time
     observable is a failure.  Returns ``(failures, notes)``.
     """
+    from .benchgate import bench_fig3_m2m, bench_fig10_window
+    from .pingpong import pingpong_run
+
     if scale == "tiny":
         pp = dict(nnodes=4, nbytes=512, trips=4)
         f3 = dict(nnodes=4, n_steps=1, n_atoms=256, workers=1, comm_threads=1)
@@ -470,44 +320,71 @@ def shard_equivalence_gate(
                     f"sharded={got.get(drift[0])!r})"
                 )
 
+    pp_config = RunConfig(nnodes=pp["nnodes"], workers_per_process=4)
+    serial_pp = pingpong_sim_times(
+        pingpong_run(
+            pp_config, pp["nbytes"],
+            dst_rank=(pp["nnodes"] - 1) * pp_config.pes_per_node,
+            trips=pp["trips"],
+        )
+    )
     check(
-        "pingpong",
-        _serial_pingpong_sim_times(pp["nnodes"], pp["nbytes"], pp["trips"]),
-        lambda n: sharded_bench_pingpong(
-            pp["nnodes"], n, nbytes=pp["nbytes"], trips=pp["trips"]
-        ),
+        "pingpong", serial_pp,
+        lambda n: sharded_bench_pingpong(nshards=n, **pp),
     )
     check(
         "fig3_m2m",
-        _serial_fig3_sim_times(**f3),
-        lambda n: sharded_bench_fig3_m2m(
-            f3["nnodes"], n, n_steps=f3["n_steps"], n_atoms=f3["n_atoms"],
-            workers=f3["workers"], comm_threads=f3["comm_threads"],
-        ),
+        bench_fig3_m2m(**f3)["sim_times"],
+        lambda n: sharded_bench_fig3_m2m(nshards=n, **f3),
     )
     check(
         "fig10_window",
-        _serial_fig10_sim_times(**f10),
-        lambda n: sharded_bench_fig10_window(
-            f10["nnodes"], n, n_steps=f10["n_steps"], n_atoms=f10["n_atoms"],
-            workers=f10["workers"], comm_threads=f10["comm_threads"],
-        ),
+        bench_fig10_window(**f10)["sim_times"],
+        lambda n: sharded_bench_fig10_window(nshards=n, **f10),
     )
     # The subprocess transport must agree too; one representative
     # config (pingpong is the MEMFIFO-only benchmark it supports).
-    serial = _serial_pingpong_sim_times(pp["nnodes"], pp["nbytes"], pp["trips"])
     try:
-        rec = sharded_bench_pingpong(
-            pp["nnodes"], 2, nbytes=pp["nbytes"], trips=pp["trips"],
-            transport="mp",
-        )
+        rec = sharded_bench_pingpong(nshards=2, transport="mp", **pp)
     except (ImportError, OSError, PermissionError) as exc:
         notes.append(f"pingpong mp-transport: skipped ({exc})")
     else:
-        if rec["sim_times"] == serial:
+        if rec["sim_times"] == serial_pp:
             notes.append("pingpong mp-transport shards=2: identical")
         else:
             failures.append(
                 "pingpong mp-transport shards=2: simulated-time drift vs serial"
             )
     return failures, notes
+
+
+def main(argv: Optional[List[str]] = None) -> int:
+    parser = argparse.ArgumentParser(
+        prog="python -m repro.harness.shardbench",
+        description="sharded-vs-serial equivalence gate: every gated "
+        "benchmark must produce bit-identical simulated times on the "
+        "sharded PDES engine (shards in {1,2,4}) and the serial engine "
+        "(see docs/SCALING.md)",
+    )
+    parser.add_argument(
+        "--scale", choices=("full", "tiny"), default="full",
+        help="benchmark sizes ('tiny' is for self-tests only)",
+    )
+    args = parser.parse_args(argv)
+
+    t0 = time.perf_counter()
+    failures, notes = shard_equivalence_gate(scale=args.scale)
+    wall = time.perf_counter() - t0
+    print(f"shard-gate: serial-vs-sharded equivalence ({wall:.1f}s total)")
+    for note in notes:
+        print(f"  {note}")
+    if failures:
+        for failure in failures:
+            print(f"  FAIL: {failure}", file=sys.stderr)
+        return 1
+    print("shard-gate: PASS (bit-identical simulated times)")
+    return 0
+
+
+if __name__ == "__main__":  # pragma: no cover
+    sys.exit(main())

@@ -27,11 +27,8 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from ..bgq.params import CYCLES_PER_US
-from ..charm import Charm
 from ..converse import RunConfig
-from ..namd.charm_app import NamdCharm
-from ..namd.system import build_system
-from ..sim import render_ascii_timeline, utilization_profile
+from ..sim import Environment, render_ascii_timeline, utilization_profile
 from ..trace import (
     Tracer,
     format_utilization_table,
@@ -39,6 +36,7 @@ from ..trace import (
     write_chrome_trace,
     write_run_manifest,
 )
+from .builders import build_namd, window_steps
 
 __all__ = [
     "TraceResult",
@@ -109,37 +107,25 @@ def run_traced_namd(
     which is where the comm-thread and m2m effects of Figs. 3/9/10
     live.
     """
-    import dataclasses
-
-    from repro.namd.system import APOA1
-
-    spec_like = dataclasses.replace(APOA1, cutoff=cutoff)
-    system = build_system(
-        n_atoms, spec_like=spec_like, temperature=0.003, bond_fraction=0.0, seed=seed
-    )
-    charm = Charm(
+    run = build_namd(
+        Environment(),
         RunConfig(
             nnodes=nnodes,
             workers_per_process=workers,
             comm_threads_per_process=comm_threads,
             trace=True,
-        )
+        ),
+        use_m2m_pme=use_m2m_pme, n_atoms=n_atoms, n_steps=n_steps, seed=seed,
+        pme_every=pme_every, cutoff=cutoff,
     )
-    app = NamdCharm(
-        charm,
-        system,
-        n_steps=n_steps,
-        pme_every=pme_every,
-        use_m2m_pme=use_m2m_pme,
-        dt=0.004,
-    )
-    t0 = charm.env.now
-    app.run()
-    tracer: Tracer = charm.tracer
+    env = run.env
+    t0 = env.now
+    run.run()
+    tracer: Tracer = env.tracer
     tracer.finish()
     busy, useful = tracer.utilization()
-    total = charm.env.now - t0
-    step_times = tuple(t / CYCLES_PER_US for t, _ in app.step_log)
+    total = env.now - t0
+    step_times = tuple(t / CYCLES_PER_US for t in run.observe()["steps"])
     return TraceResult(
         label=label,
         n_steps=n_steps,
@@ -235,10 +221,9 @@ def fig10_pme_window(
         workers=workers, comm_threads=comm_threads, pme_every=pme_every,
         use_m2m_pme=True, n_steps=n_steps,
     )
-    if window_us is None:
-        window_us = std.total_us * 0.75
-    steps_std = sum(1 for t in std.step_times_us if t <= window_us)
-    steps_m2m = sum(1 for t in m2m.step_times_us if t <= window_us)
+    window_us, steps_std, steps_m2m = window_steps(
+        std.total_us, std.step_times_us, m2m.step_times_us, window_us
+    )
     return {
         "std": std,
         "m2m": m2m,

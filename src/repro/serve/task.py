@@ -194,7 +194,7 @@ class ShardedTask:
             raise ValueError("`done` event does not belong to any shard")
         self._root = root
 
-    def start(self) -> None:  # shard builders start their runtimes
+    def start(self) -> None:  # runtimes start when the mirrors are built
         return None
 
     def advance(self, max_events: int) -> bool:

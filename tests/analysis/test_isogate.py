@@ -11,8 +11,8 @@ import json
 
 import pytest
 
+from repro.harness.builders import DeferredRun
 from repro.harness.isogate import (
-    IsoInstance,
     STRIDES,
     gate_workloads,
     isolation_gate,
@@ -66,13 +66,13 @@ def _leaky_builder(shared):
             done.succeed()
 
         env.process(proc())
-        return IsoInstance(
+        return DeferredRun(
             name="leaky",
             env=env,
             start=lambda: None,
             stop=lambda: None,
             done=done,
-            result=lambda: {"trace": [repr(t) for t in trace]},
+            observe=lambda: {"trace": trace},
         )
 
     return build

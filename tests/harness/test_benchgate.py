@@ -152,6 +152,22 @@ def test_compare_new_benchmark_is_note_not_failure():
     assert any("no baseline" in n for n in notes)
 
 
+def test_compare_fails_on_benchmark_missing_at_same_scale():
+    base = {"scale": "full", "benchmarks": {"x": _rec(1.0), "y": _rec(1.0)}}
+    cur = {"scale": "full", "benchmarks": {"x": _rec(1.0)}}
+    failures, _ = compare_records(base, cur)
+    assert len(failures) == 1
+    assert failures[0].startswith("y:") and "missing" in failures[0]
+
+
+def test_compare_missing_benchmark_at_other_scale_is_note():
+    base = {"scale": "full", "benchmarks": {"x": _rec(1.0), "y": _rec(1.0)}}
+    cur = {"scale": "tiny", "benchmarks": {"x": _rec(1.0)}}
+    failures, notes = compare_records(base, cur)
+    assert failures == []
+    assert any(n.startswith("y:") for n in notes)
+
+
 def test_checksum_is_order_independent():
     assert _checksum({"a": "1", "b": "2"}) == _checksum({"b": "2", "a": "1"})
     assert _checksum({"a": "1"}) != _checksum({"a": "2"})

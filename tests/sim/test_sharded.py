@@ -143,6 +143,17 @@ def test_mp_transport_matches_serial():
     assert [repr(t) for t in sharded["rtts"]] == [repr(t) for t in serial["rtts"]]
 
 
+# -- the shard gate's own entry point -----------------------------------------
+
+def test_shard_gate_entry_point_tiny(capsys):
+    from repro.harness.shardbench import main
+
+    assert main(["--scale", "tiny"]) == 0
+    out = capsys.readouterr().out
+    assert "fig10_window shards=4: identical" in out
+    assert "shard-gate: PASS" in out
+
+
 # -- rank -> endpoint formula -------------------------------------------------
 
 @pytest.mark.parametrize(
