@@ -58,42 +58,76 @@ def pair_forces(
     (the Ewald real-space part) and Lennard-Jones.  With
     ``same_block=True`` the blocks are the same array and each pair is
     counted once.
+
+    Exactness: the results are bit-identical to the dense formulation
+    (every pair term over the whole (n, m, 3) block, masked with
+    ``np.where``, reduced with ``np.sum``) that the simulation's
+    checksums were recorded with:
+
+    * the pair terms are the same expressions in the same operation
+      order, evaluated only on the pairs inside the cutoff; numpy's
+      elementwise results do not depend on the other elements of a call;
+    * ``r2`` adds the squared components as ``(x^2 + z^2) + y^2``, the
+      order ``einsum("ijk,ijk->ij")`` takes over a 3-vector;
+    * the energy is ``np.sum`` over the dense (n, m) array, zero outside
+      the cutoff: numpy sums a contiguous array pairwise in blocks, and
+      the zeros fix where the block boundaries fall, so they stay;
+    * the per-atom force sums reduce an outer axis, which numpy does
+      one addend at a time from +0.0.  A sum that starts at +0.0 can
+      never become -0.0, so adding the +0.0 entries outside the cutoff
+      changes nothing, and ``np.bincount`` over the pairs in (i, j)
+      order gives the same bits without the dense array.
+
+    ``tests/namd/test_kernel_exact.py`` checks all of this against a
+    copy of the dense kernel.
     """
     pos_i = np.asarray(pos_i)
     pos_j = np.asarray(pos_j)
-    delta = pos_i[:, None, :] - pos_j[None, :, :]
-    delta -= np.round(delta / box) * box
-    r2 = np.einsum("ijk,ijk->ij", delta, delta)
+    n, m = len(pos_i), len(pos_j)
+    # Component-major (3, n, m) separations: the same per-element
+    # arithmetic as the (n, m, 3) layout, with long inner loops.
+    xi = np.ascontiguousarray(pos_i.T)
+    xj = np.ascontiguousarray(pos_j.T)
+    delta = xi[:, :, None] - xj[:, None, :]
+    period = np.asarray(box)[:, None, None]
+    delta -= np.round(delta / period) * period
+    sq = delta * delta
+    r2 = (sq[0] + sq[2]) + sq[1]
+    mask = r2 < cutoff**2
     if same_block:
-        iu = np.triu_indices(r2.shape[0], k=1)
-        mask = np.zeros_like(r2, dtype=bool)
-        mask[iu] = True
-        mask &= r2 < cutoff**2
-    else:
-        mask = r2 < cutoff**2
-    n_pairs = int(np.count_nonzero(mask))
+        mask &= np.arange(n)[:, None] < np.arange(m)
+    flat = np.flatnonzero(mask)
+    n_pairs = len(flat)
     if n_pairs == 0:
         return 0.0, np.zeros_like(pos_i), np.zeros_like(pos_j), 0
-    r2s = np.where(mask, r2, 1.0)
-    r = np.sqrt(r2s)
-    qq = q_i[:, None] * q_j[None, :]
+    # Pair terms, only for the pairs inside the cutoff, in (i, j) order.
+    ii = flat // m
+    jj = flat - ii * m
+    r2 = r2.ravel()[flat]
+    r = np.sqrt(r2)
+    qq = q_i[ii] * q_j[jj]
     # Screened Coulomb (real-space Ewald term).
-    e_coul = qq * erfc(beta * r) / r
+    erfc_br = erfc(beta * r)
+    e_coul = qq * erfc_br / r
     dedr_coul = -qq * (
-        erfc(beta * r) / r2s
-        + 2 * beta / math.sqrt(math.pi) * np.exp(-(beta**2) * r2s) / r
+        erfc_br / r2
+        + 2 * beta / math.sqrt(math.pi) * np.exp(-(beta**2) * r2) / r
     )
     # Lennard-Jones.
-    s6 = (LJ_SIGMA**2 / r2s) ** 3
+    s6 = (LJ_SIGMA**2 / r2) ** 3
     e_lj = 4 * LJ_EPSILON * (s6**2 - s6)
     dedr_lj = 4 * LJ_EPSILON * (-12 * s6**2 + 6 * s6) / r
-    e_pair = np.where(mask, e_coul + e_lj, 0.0)
-    dedr = np.where(mask, dedr_coul + dedr_lj, 0.0)
+    e_pair = np.zeros(n * m)
+    e_pair[flat] = e_coul + e_lj
     energy = float(np.sum(e_pair))
-    fmag = -dedr / r
-    fvec = np.where(mask[..., None], fmag[..., None] * delta, 0.0)
-    f_i = np.sum(fvec, axis=1)
-    f_j = -np.sum(fvec, axis=0)
+    fmag = -(dedr_coul + dedr_lj) / r
+    fvec = fmag * np.take(delta.reshape(3, -1), flat, axis=1)
+    f_i = np.empty((n, 3))
+    f_j = np.empty((m, 3))
+    for k in range(3):
+        f_i[:, k] = np.bincount(ii, fvec[k], n)
+        f_j[:, k] = np.bincount(jj, fvec[k], m)
+    f_j = -f_j
     if same_block:
         # Upper-triangle masking puts the action on the row atom and the
         # reaction on the column atom of the same array: combine.

@@ -18,6 +18,18 @@ against numerical gradients.
 The distributed version of steps 2-4 runs over the Charm++ runtime via
 the pencil FFT (see :mod:`repro.namd.charm_app`); this module holds the
 kernels both versions share.
+
+Steps 1 and 5 are whole-array passes over all ``order**3`` support
+points of all particles at once.  They are bit-identical to looping
+over the support offsets ``(j, k, l)`` with one scatter-add (step 1) or
+one in-place subtraction (step 5) per offset, because they keep that
+loop's operation order: each term is multiplied in the same order, and
+each grid cell or force component takes its addends one at a time, in
+``(j, k, l)`` order, from 0.0 (``np.bincount`` in step 1, a sequential
+``np.subtract.reduce`` in step 5 — never a pairwise ``np.sum``).  The
+simulation's recorded checksums depend on those bits;
+``tests/namd/test_kernel_exact.py`` checks them against a copy of the
+loop kernels.
 """
 
 from __future__ import annotations
@@ -44,56 +56,84 @@ def bspline_weights(frac: np.ndarray, order: int) -> Tuple[np.ndarray, np.ndarra
     """Cardinal B-spline values and derivatives for charge spreading.
 
     ``frac`` — fractional offsets in [0, 1) of each particle from its
-    base grid point, shape (n,).  Returns ``(w, dw)`` of shape
-    (n, order): the spline weight and its derivative at each of the
-    ``order`` grid points the particle touches (offsets 0..order-1
-    *below* the particle: grid point ``floor(u) - order + 1 + j``).
+    base grid point, of any shape (``(n,)`` for one dimension,
+    ``(n, 3)`` for all three at once).  Returns ``(w, dw)`` of shape
+    ``frac.shape + (order,)``: the spline weight and its derivative at
+    each of the ``order`` grid points the particle touches (offsets
+    0..order-1 *below* the particle: grid point
+    ``floor(u) - order + 1 + j``).  Every value is an elementwise
+    function of its own ``frac`` entry, so the shape of the call does
+    not change the bits.
     """
     if order < 2:
         raise ValueError("B-spline order must be >= 2")
     frac = np.asarray(frac, dtype=np.float64)
-    n = frac.shape[0]
+    shape = frac.shape + (order,)
     # M_2 on the two nearest points.
-    w = np.zeros((n, order))
-    w[:, 0] = 1.0 - frac
-    w[:, 1] = frac
+    w = np.zeros(shape)
+    w[..., 0] = 1.0 - frac
+    w[..., 1] = frac
+    prev = w
     for k in range(3, order + 1):
         # Recursion M_k(u) = u/(k-1) M_{k-1}(u) + (k-u)/(k-1) M_{k-1}(u-1)
-        prev = w.copy()
-        w[:, :] = 0.0
-        for j in range(k):
-            u = frac + (k - 1 - j)  # argument of M_k at this grid offset
-            left = prev[:, j - 1] if j >= 1 else 0.0
-            right = prev[:, j] if j < k - 1 else 0.0
-            w[:, j] = (u * left + (k - u) * right) / (k - 1)
-    # Derivative: M_n'(u) = M_{n-1}(u) - M_{n-1}(u-1), mapped to offsets.
-    prev = np.zeros((n, order))
-    prev[:, 0] = 1.0 - frac
-    prev[:, 1] = frac
-    for k in range(3, order):
-        nxt = np.zeros((n, order))
-        for j in range(k):
-            u = frac + (k - 1 - j)
-            left = prev[:, j - 1] if j >= 1 else 0.0
-            right = prev[:, j] if j < k - 1 else 0.0
-            nxt[:, j] = (u * left + (k - u) * right) / (k - 1)
-        prev = nxt
-    dw = np.zeros((n, order))
-    for j in range(order):
-        m_here = prev[:, j] if j < order - 1 else 0.0
-        m_left = prev[:, j - 1] if j >= 1 else 0.0
-        dw[:, j] = m_left - m_here
+        # at all k offsets at once: offset j has u = frac + (k-1-j),
+        # left neighbour M_{k-1}[j-1] (0 at j = 0) and right neighbour
+        # M_{k-1}[j] (0 at j = k-1, where M_{k-1} is still zero).
+        prev = w
+        u = frac[..., None] + np.arange(k - 1, -1, -1)
+        left = np.zeros(u.shape)
+        left[..., 1:] = prev[..., : k - 1]
+        w = np.zeros(shape)
+        w[..., :k] = (u * left + (k - u) * prev[..., :k]) / (k - 1)
+    # Derivative: M_n'(u) = M_{n-1}(u) - M_{n-1}(u-1), mapped to offsets
+    # (``prev`` is M_{n-1}; M_2 itself stands in when n is 2).
+    m = np.zeros(frac.shape + (order + 1,))
+    m[..., 1:order] = prev[..., : order - 1]
+    dw = m[..., :order] - m[..., 1:]
     # Note: offsets run from low to high grid index; with the recursion
-    # above, w[:, j] multiplies grid point floor(u) - (order - 1) + j.
+    # above, w[..., j] multiplies grid point floor(u) - (order - 1) + j.
     return w, dw
 
 
-def _grid_indices(positions: np.ndarray, box: np.ndarray, K: Tuple[int, int, int], order: int):
-    """Base indices and fractional offsets per dimension."""
+def _support(
+    positions: np.ndarray,
+    box: np.ndarray,
+    K: Tuple[int, int, int],
+    order: int,
+    window: Optional[Tuple[Tuple[int, int], Tuple[int, int]]],
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, Tuple[int, int, int]]:
+    """Spline weights and flat grid indices of every particle's support.
+
+    Returns ``(w, dw, flat, shape)``: ``w``/``dw`` of shape
+    ``(3, order, n)`` (dimension, grid offset, particle), ``flat`` of
+    shape ``(order, order, order, n)`` indexing the raveled target grid
+    of ``shape`` — the full grid ``K`` (periodic wrap in every
+    dimension), or with ``window=((x0, x1), (y0, y1))`` the dense local
+    slab ``(x1-x0, y1-y0, K[2])`` in unwrapped x/y, which must cover the
+    support of every particle.
+    """
     u = positions / box * np.asarray(K)  # scaled fractional coords in [0, K)
     base = np.floor(u).astype(np.int64)
-    frac = u - base
-    return base, frac
+    w, dw = bspline_weights(u - base, order)
+    w = w.transpose(1, 2, 0)
+    dw = dw.transpose(1, 2, 0)
+    # idx[d, j, a]: grid index along d of particle a's j-th support point.
+    idx = (base - (order - 1)).T[:, None, :] + np.arange(order)[None, :, None]
+    Kx, Ky, Kz = K
+    if window is None:
+        ix, iy = idx[0] % Kx, idx[1] % Ky
+        nx, ny = Kx, Ky
+    else:
+        (x0, x1), (y0, y1) = window
+        nx, ny = x1 - x0, y1 - y0
+        ix, iy = idx[0] - x0, idx[1] - y0
+        if ix.size and (ix.min() < 0 or ix.max() >= nx):
+            raise ValueError("window does not cover x spline support")
+        if iy.size and (iy.min() < 0 or iy.max() >= ny):
+            raise ValueError("window does not cover y spline support")
+    iz = idx[2] % Kz
+    flat = (ix[:, None, None, :] * ny + iy[None, :, None, :]) * Kz + iz[None, None, :, :]
+    return w, dw, flat, (nx, ny, Kz)
 
 
 def spread_charges(
@@ -111,50 +151,28 @@ def spread_charges(
     ``(x1-x0, y1-y0, K[2])`` instead of the full grid — the shape a
     patch sends to the PME pencils.  The window must cover the spline
     support of every particle in x and y.
+
+    Exactness: the addend for support point ``(j, k, l)`` of particle
+    ``a`` is ``((q[a] * wx[j]) * wy[k]) * wz[l]``, and one
+    ``np.bincount`` adds them into each cell in ``(j, k, l, a)`` order,
+    one at a time from 0.0.  The grid is therefore bit-identical to one
+    sequential scatter-add per support offset.
     """
     positions = np.asarray(positions, dtype=np.float64)
     charges = np.asarray(charges, dtype=np.float64)
     box = np.asarray(box, dtype=np.float64)
-    Kx, Ky, Kz = K
-    base, frac = _grid_indices(positions, box, K, order)
-    wx, _ = bspline_weights(frac[:, 0], order)
-    wy, _ = bspline_weights(frac[:, 1], order)
-    wz, _ = bspline_weights(frac[:, 2], order)
-    if window is None:
-        grid = np.zeros(K)
-        for j in range(order):
-            ix = (base[:, 0] - (order - 1) + j) % Kx
-            for k in range(order):
-                iy = (base[:, 1] - (order - 1) + k) % Ky
-                wxy = charges * wx[:, j] * wy[:, k]
-                for l in range(order):
-                    iz = (base[:, 2] - (order - 1) + l) % Kz
-                    np.add.at(grid, (ix, iy, iz), wxy * wz[:, l])
-        return grid
-    (x0, x1), (y0, y1) = window
-    grid = np.zeros((x1 - x0, y1 - y0, Kz))
-    for j in range(order):
-        ix = base[:, 0] - (order - 1) + j - x0
-        if np.any(ix < 0) or np.any(ix >= x1 - x0):
-            raise ValueError("window does not cover x spline support")
-        for k in range(order):
-            iy = base[:, 1] - (order - 1) + k - y0
-            if np.any(iy < 0) or np.any(iy >= y1 - y0):
-                raise ValueError("window does not cover y spline support")
-            wxy = charges * wx[:, j] * wy[:, k]
-            for l in range(order):
-                iz = (base[:, 2] - (order - 1) + l) % Kz
-                np.add.at(grid, (ix, iy, iz), wxy * wz[:, l])
-    return grid
+    (wx, wy, wz), _, flat, shape = _support(positions, box, K, order, window)
+    wxy = (charges * wx)[:, None, :] * wy[None, :, :]
+    addends = wxy[:, :, None, :] * wz[None, None, :, :]
+    grid = np.bincount(
+        flat.ravel(), weights=addends.ravel(), minlength=shape[0] * shape[1] * shape[2]
+    )
+    return grid.reshape(shape)
 
 
 def _bspline_euler_factor(K: int, order: int) -> np.ndarray:
     """|b(m)|^2 for one dimension (Essmann eq. 4.4)."""
     m = np.arange(K)
-    # M_n values at integer arguments 1..n-1.
-    w, _ = bspline_weights(np.zeros(1), order)
-    # M_n(k+1) for k=0..n-2: with frac=0, w[0, j] = M_n at u = n-1-j... use
-    # direct evaluation instead: M_n(x) at integers via recursion.
     mn = _bspline_at_integers(order)  # M_n(1..n-1)
     phase = np.exp(2j * np.pi * np.outer(m, np.arange(order - 1)) / K)
     denom = phase @ mn
@@ -240,35 +258,31 @@ def interpolate_forces(
 
     ``phi`` is the full grid, or — with ``window`` — the dense local
     slab ``(x1-x0, y1-y0, K[2])`` in unwrapped coordinates (the shape a
-    patch receives back from the PME pencils).
+    patch receives back from the PME pencils); the window must cover
+    the spline support of every particle in x and y.
+
+    Exactness: the x-force term of support point ``(j, k, l)`` is
+    ``charges * dwx[j] * wy[k] * wz[l] * p * sx`` multiplied left to
+    right (y and z alike, with the derivative in their own factor), and
+    one sequential ``np.subtract.reduce`` from 0.0 subtracts the
+    ``order**3`` terms in ``(j, k, l)`` order — the bits of one in-place
+    ``forces -= term`` update per support offset.
     """
     positions = np.asarray(positions, dtype=np.float64)
+    charges = np.asarray(charges, dtype=np.float64)
     box = np.asarray(box, dtype=np.float64)
-    Kx, Ky, Kz = K
-    n = positions.shape[0]
-    base, frac = _grid_indices(positions, box, K, order)
-    wx, dwx = bspline_weights(frac[:, 0], order)
-    wy, dwy = bspline_weights(frac[:, 1], order)
-    wz, dwz = bspline_weights(frac[:, 2], order)
-    forces = np.zeros((n, 3))
-    sx, sy, sz = Kx / box[0], Ky / box[1], Kz / box[2]
-    if window is not None:
-        (x0, _x1), (y0, _y1) = window
-    for j in range(order):
-        for k in range(order):
-            for l in range(order):
-                if window is None:
-                    ix = (base[:, 0] - (order - 1) + j) % Kx
-                    iy = (base[:, 1] - (order - 1) + k) % Ky
-                else:
-                    ix = base[:, 0] - (order - 1) + j - x0
-                    iy = base[:, 1] - (order - 1) + k - y0
-                iz = (base[:, 2] - (order - 1) + l) % Kz
-                p = phi[ix, iy, iz]
-                forces[:, 0] -= charges * dwx[:, j] * wy[:, k] * wz[:, l] * p * sx
-                forces[:, 1] -= charges * wx[:, j] * dwy[:, k] * wz[:, l] * p * sy
-                forces[:, 2] -= charges * wx[:, j] * wy[:, k] * dwz[:, l] * p * sz
-    return forces
+    phi = np.asarray(phi)
+    w, dw, flat, shape = _support(positions, box, K, order, window)
+    if phi.shape != shape:
+        raise ValueError(f"phi has shape {phi.shape}, expected {shape}")
+    # f[c, d]: the weights of dimension d in force component c (the
+    # derivative where d == c), shape (order, n).
+    f = np.where(np.eye(3, dtype=bool)[:, :, None, None], dw, w)
+    terms = (charges * f[:, 0])[:, :, None, None] * f[:, 1, None, :, None]
+    terms = terms * f[:, 2, None, None, :]
+    terms = terms * np.take(phi, flat) * (np.asarray(K) / box)[:, None, None, None, None]
+    terms = terms.reshape(3, order**3, len(charges))
+    return np.subtract.reduce(terms, axis=1, initial=0.0).T.copy()
 
 
 # ---------- references for validation -----------------------------------------

@@ -24,10 +24,11 @@ Determinism
 -----------
 The serial engine orders same-time events by an integer schedule
 sequence number.  Across shards there is no shared counter, so sharded
-runs order events by a :class:`_SeqKey` ``(alloc_time, shard, counter)``
-triple instead: within one shard this collapses to allocation order
-(the serial order — allocation times are monotonic), and across shards
-it is a deterministic total order independent of host scheduling.  The
+runs order events by a :class:`_SeqKey` tuple ``(alloc_time, shard,
+counter, env)`` instead: within one shard this collapses to allocation
+order (the serial order — allocation times are monotonic), and across
+shards it is a deterministic total order independent of host
+scheduling.  The
 key type plugs into the engine's hot path *unmodified*: the engine
 allocates sequence numbers with ``env._seq = env._seq + 1``, so a
 ``_SeqKey`` held in ``_seq`` mints its successor via ``__add__``.
@@ -50,7 +51,7 @@ import pickle
 import struct
 import time
 import traceback
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from .engine import _TRIGGERED, Environment, Event, SimulationError
 
@@ -95,59 +96,29 @@ class ShardWorkerDied(RuntimeError):
         self.exitcode = exitcode
 
 
-class _SeqKey:
+class _SeqKey(tuple):
     """Deterministic total order for same-time events across shards.
 
-    Compares as the tuple ``(t, origin, n)``: allocation time, then the
-    allocating shard id, then that shard's allocation counter.  The
-    engine's ``env._seq = env._seq + 1`` pattern mints successors via
-    :meth:`__add__`, reading the clock and counter through a
-    back-reference to the owning :class:`ShardEnvironment`; keys
-    reconstructed from the wire carry no environment (``env=None``) and
-    are never incremented.
+    The tuple ``(t, origin, n, env)``: allocation time, the allocating
+    shard id, that shard's allocation counter and the owning
+    :class:`ShardEnvironment`.  Keys compare as tuples, in C; no two
+    keys in one shard's heap share ``(t, origin, n)``, so a comparison
+    never reaches ``env``.  The engine's ``env._seq = env._seq + 1``
+    pattern mints successors via :meth:`__add__`, reading the clock
+    through ``env``; keys reconstructed from the wire carry no
+    environment (``env=None``) and are never incremented.
     """
 
-    __slots__ = ("t", "origin", "n", "_env")
+    __slots__ = ()
 
-    def __init__(self, t: float, origin: int, n: int, env=None) -> None:
-        self.t = t
-        self.origin = origin
-        self.n = n
-        self._env = env
+    def __new__(cls, t: float, origin: int, n: int, env=None) -> "_SeqKey":
+        return tuple.__new__(cls, (t, origin, n, env))
 
     def __add__(self, _other) -> "_SeqKey":
-        # Only the engine's `_seq + 1` reaches this.
-        env = self._env
-        env._key_counter = n = env._key_counter + 1
-        return _SeqKey(env.now, env.shard_id, n, env)
-
-    def triple(self) -> Tuple[float, int, int]:
-        """Wire form (picklable, env-free)."""
-        return (self.t, self.origin, self.n)
-
-    def __lt__(self, other: "_SeqKey") -> bool:
-        return (self.t, self.origin, self.n) < (other.t, other.origin, other.n)
-
-    def __le__(self, other: "_SeqKey") -> bool:
-        return (self.t, self.origin, self.n) <= (other.t, other.origin, other.n)
-
-    def __gt__(self, other: "_SeqKey") -> bool:
-        return (self.t, self.origin, self.n) > (other.t, other.origin, other.n)
-
-    def __ge__(self, other: "_SeqKey") -> bool:
-        return (self.t, self.origin, self.n) >= (other.t, other.origin, other.n)
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, _SeqKey)
-            and (self.t, self.origin, self.n) == (other.t, other.origin, other.n)
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.t, self.origin, self.n))
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"_SeqKey(t={self.t!r}, origin={self.origin}, n={self.n})"
+        # Only the engine's `_seq + 1` reaches this; `_seq` always holds
+        # the shard's latest key, so its counter is the shard's.
+        env = self[3]
+        return tuple.__new__(_SeqKey, (env.now, env.shard_id, self[2] + 1, env))
 
 
 class ShardEnvironment(Environment):
@@ -162,24 +133,12 @@ class ShardEnvironment(Environment):
     integer sequence.
     """
 
-    __slots__ = ("shard_id", "_key_counter")
+    __slots__ = ("shard_id",)
 
     def __init__(self, shard_id: int = 0, initial_time: float = 0.0) -> None:
         super().__init__(initial_time)
         self.shard_id = int(shard_id)
-        self._key_counter = 0
         self._seq = _SeqKey(self._now, self.shard_id, 0, self)
-
-    def next_key(self) -> _SeqKey:
-        """Allocate one ordering key from the engine's own sequence.
-
-        Used at cross-shard injection points: the key consumed when a
-        packet leaves its source shard later orders both its delivery
-        (destination shard) and its completion (source shard) against
-        unrelated same-time events.
-        """
-        self._seq = key = self._seq + 1
-        return key
 
     def schedule_external(self, when: float, key: _SeqKey, fn: Callable[[], None]) -> None:
         """Schedule ``fn()`` at ``when`` under a pre-allocated key.

@@ -71,6 +71,23 @@ def test_spread_window_too_small_raises():
         spread_charges(pos, q, (16, 16, 16), box, 4, window=((7, 9), (0, 16)))
 
 
+@pytest.mark.parametrize(
+    "window, axis",
+    [(((5, 9), (5, 9)), "x"), (((3, 7), (5, 9)), "y"), (((3, 7), (0, 4)), "y")],
+)
+def test_interpolate_window_too_small_raises(window, axis):
+    # The atom's x/y support is grid points 3..6.  A window starting
+    # above it once indexed the slab at negative offsets, which numpy
+    # wrapped to the far edge instead of failing.
+    box = np.array([16.0, 16.0, 16.0])
+    pos = np.array([[6.2, 6.2, 3.0]])
+    phi = np.ones((4, 4, 16))
+    with pytest.raises(ValueError, match=f"window does not cover {axis} spline support"):
+        interpolate_forces(pos, np.ones(1), phi, box, (16, 16, 16), 4, window=window)
+    with pytest.raises(ValueError, match=f"window does not cover {axis} spline support"):
+        spread_charges(pos, np.ones(1), (16, 16, 16), box, 4, window=window)
+
+
 def test_pme_energy_matches_direct_ewald(small_system):
     pos, q, box = small_system
     beta = 0.6
